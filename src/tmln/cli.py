@@ -17,17 +17,19 @@ from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
 from .inference import (
+    BoundError,
     InferenceError,
     MapResult,
     Query,
     conclusions,
+    exhaustive_bound,
     map_batch,
     map_exhaustive,
     map_pruned,
     parse_query,
 )
 from .kernel import Literal, Rule, TimePoint, closure_literals
-from .kbformat import parse
+from .kbformat import WEIGHT_RE, parse
 from .network import (
     NetworkError,
     TMLN,
@@ -54,6 +56,7 @@ from .semantics import (
     SemanticsError,
     Selector,
     Validator,
+    scores_equal,
 )
 from .temporal import Relation, TemporalError, Timeline
 
@@ -172,6 +175,11 @@ def parse_selector(token: str) -> Selector:
     name, _, alpha = token.partition(":")
     try:
         if name == "thresh":
+            if alpha and not WEIGHT_RE.match(alpha):
+                raise CliError(
+                    f"bad selector {token!r}: threshold must be a decimal "
+                    "with at most nine fractional digits"
+                )
             return Selector("thresh", Fraction(alpha) if alpha else Fraction(0))
         if alpha:
             raise CliError(f"selector {name!r} takes no parameter")
@@ -247,13 +255,8 @@ def cmd_ground(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_map(M: TMLN, tps: ParametricSemantics, args: argparse.Namespace) -> MapResult:
-    if args.pruned:
-        return map_pruned(M, tps)
-    return map_exhaustive(M, tps, bound=args.bound)
-
-
 def cmd_map(args: argparse.Namespace) -> int:
+    bound = exhaustive_bound(args.bound)
     M = load_kb(args.path)
     tps = semantics_from(args.delta, args.sigma, args.theta)
     query = (
@@ -261,7 +264,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         if args.query
         else None
     )
-    result = _run_map(M, tps, args)
+    result = map_pruned(M, tps) if args.pruned else map_exhaustive(M, tps, bound=bound)
     if args.json:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -369,7 +372,7 @@ def _kb_oracle_outcome(M: TMLN, path: str) -> PropertyOutcome:
     engine = map_exhaustive(M, tps)
     states, best = brute_map(M, tps)
     outcome.trials += 1
-    if set(engine.instantiations) != set(states) or abs(float(engine.strength) - best) > 1e-9:
+    if set(engine.instantiations) != set(states) or not scores_equal(engine.strength, best):
         outcome.fail("engine and oracle disagree on this knowledge base")
     return outcome
 
@@ -476,11 +479,11 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
         OracleReport(
             "map",
             digest(members),
-            f"{len(oracle_states)} states, best {oracle_best:.9g}",
-            f"{len(engine_states)} states, best {float(engine_map.strength):.9g}",
+            f"{len(oracle_states)} states, best {weight_str(oracle_best)}",
+            f"{len(engine_states)} states, best {weight_str(engine_map.strength)}",
             engine_states == set(oracle_states)
             and engine_states == set(pruned_map.instantiations)
-            and abs(float(engine_map.strength) - oracle_best) <= 1e-9,
+            and scores_equal(engine_map.strength, oracle_best),
         )
     )
 
@@ -522,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true", help="show zero-contribution formulae")
     p.add_argument("--json", action="store_true")
     p.add_argument("--pruned", action="store_true", help="branch-and-bound search")
-    p.add_argument("--bound", type=int, help="exhaustive subset bound override")
+    p.add_argument("--bound", help="exhaustive subset bound override")
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("sweep", help="run a file of semantics configurations")
@@ -555,6 +558,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

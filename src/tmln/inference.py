@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .kernel import Constant, Literal, Rule, TimePoint, closure_literals
+from .kernel import Constant, Literal, TimePoint, closure_literals
 from .network import (
     Instantiation,
     TMLN,
@@ -39,8 +39,9 @@ from .semantics import (
     Score,
     Selector,
     Validator,
+    WeightedState,
+    scores_equal,
 )
-from .temporal import Relation, ti
 
 DEFAULT_EXHAUSTIVE_BOUND = 20
 BOUND_ENV_VAR = "TMLN_EXHAUSTIVE_BOUND"
@@ -58,11 +59,23 @@ class QueryError(InferenceError):
     """Malformed conclusion query pattern."""
 
 
-def exhaustive_bound(override: Optional[int] = None) -> int:
+class BoundError(InferenceError):
+    """A malformed or negative exhaustive bound."""
+
+
+def exhaustive_bound(override: Union[int, str, None] = None) -> int:
+    """The exhaustive bound: ``override``, else ``TMLN_EXHAUSTIVE_BOUND``, else the default."""
     if override is not None:
-        return override
-    raw = os.environ.get(BOUND_ENV_VAR)
-    return int(raw) if raw else DEFAULT_EXHAUSTIVE_BOUND
+        raw, source = override, "bound"
+    else:
+        raw, source = os.environ.get(BOUND_ENV_VAR) or DEFAULT_EXHAUSTIVE_BOUND, BOUND_ENV_VAR
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise BoundError(f"{source} must be a non-negative integer, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -86,145 +99,6 @@ class MapResult:
         return tuple(e.instantiation for e in self.entries)
 
 
-class _Universe:
-    """Interned view of a ground instantiation for subset sweeps.
-
-    Literals appearing anywhere (facts, premises, conclusions) get one bit
-    each; closures and pairwise interval relations are then pure integer
-    work, memoized across subsets.
-    """
-
-    def __init__(self, members: Sequence[WeightedFormula]):
-        self.members = tuple(members)
-        self.weights = tuple(wf.weight for wf in self.members)
-        self.n = len(self.members)
-
-        lit_ids: dict[Literal, int] = {}
-
-        def intern(lit: Literal) -> int:
-            if lit not in lit_ids:
-                lit_ids[lit] = len(lit_ids)
-            return lit_ids[lit]
-
-        self.fact_bit: list[int] = []
-        self.prem_mask: list[int] = []
-        self.concl_bit: list[int] = []
-        self.is_rule: list[bool] = []
-        for wf in self.members:
-            f = wf.formula
-            if isinstance(f, Literal):
-                self.fact_bit.append(1 << intern(f))
-                self.prem_mask.append(0)
-                self.concl_bit.append(0)
-                self.is_rule.append(False)
-            else:
-                assert isinstance(f, Rule) and f.is_ground
-                mask = 0
-                for p in f.premises:
-                    mask |= 1 << intern(p)
-                self.fact_bit.append(0)
-                self.prem_mask.append(mask)
-                self.concl_bit.append(1 << intern(f.conclusion))
-                self.is_rule.append(True)
-
-        # Complementary literal pairs with their interval relationships.
-        by_atom: dict[tuple[str, tuple], list[Literal]] = {}
-        for lit in lit_ids:
-            by_atom.setdefault((lit.predicate, lit.args), []).append(lit)
-        self.pairs: list[tuple[int, int, bool, bool, bool]] = []
-        for group in by_atom.values():
-            for pos in (l for l in group if l.positive):
-                for neg in (l for l in group if not l.positive):
-                    a = ti(pos.lower, pos.upper)
-                    b = ti(neg.lower, neg.upper)
-                    self.pairs.append(
-                        (
-                            1 << lit_ids[pos],
-                            1 << lit_ids[neg],
-                            a == b,
-                            a.intersects(b),
-                            a.difference_nonempty(b) and b.difference_nonempty(a),
-                        )
-                    )
-        self._closure: dict[int, int] = {}
-        self._rule_indices = [i for i in range(self.n) if self.is_rule[i]]
-
-    def closure_bits(self, mask: int) -> int:
-        cached = self._closure.get(mask)
-        if cached is not None:
-            return cached
-        lits = 0
-        for i in range(self.n):
-            if mask >> i & 1:
-                lits |= self.fact_bit[i]
-        changed = True
-        while changed:
-            changed = False
-            for i in self._rule_indices:
-                if mask >> i & 1:
-                    concl = self.concl_bit[i]
-                    if concl & ~lits and not self.prem_mask[i] & ~lits:
-                        lits |= concl
-                        changed = True
-        self._closure[mask] = lits
-        return lits
-
-    def relation_flags(self, mask: int) -> tuple[bool, bool, bool, bool]:
-        """(tCon, pCon, pInc, tInc) on the closure of the subset."""
-        lits = self.closure_bits(mask)
-        tcon = pcon = True
-        pinc = tinc = False
-        for pos_bit, neg_bit, equal, overlap, pcon_ok in self.pairs:
-            if lits & pos_bit and lits & neg_bit:
-                if overlap:
-                    tcon = False
-                    pinc = True
-                if equal:
-                    tinc = True
-                if not pcon_ok:
-                    pcon = False
-        return tcon, pcon, pinc, tinc
-
-    def accepts(self, relation: Relation, mask: int) -> bool:
-        tcon, pcon, pinc, tinc = self.relation_flags(mask)
-        if relation is Relation.TCON:
-            return tcon
-        if relation is Relation.PCON:
-            return pcon
-        if relation is Relation.PINC:
-            return not pinc
-        return not tinc
-
-    def member_indices(self, mask: int) -> list[int]:
-        return [i for i in range(self.n) if mask >> i & 1]
-
-    def slots(self, selector: Selector, mask: int) -> tuple[Weight, ...]:
-        """Selector output for the subset, in canonical member order."""
-        if selector.kind == "id":
-            return tuple(self.weights[i] for i in self.member_indices(mask))
-        if selector.kind == "thresh":
-            return tuple(
-                max(self.weights[i] - selector.alpha, ZERO)
-                for i in self.member_indices(mask)
-            )
-        out = []
-        for i in self.member_indices(mask):
-            if self.is_rule[i]:
-                rest = self.closure_bits(mask & ~(1 << i))
-                out.append(self.weights[i] if not self.prem_mask[i] & ~rest else ZERO)
-            else:
-                out.append(self.weights[i])
-        return tuple(out)
-
-    def strength(self, tps: ParametricSemantics, mask: int) -> Score:
-        if not self.accepts(tps.validator.relation, mask):
-            return ZERO
-        return tps.aggregator(self.slots(tps.selector, mask))
-
-    def subset(self, mask: int) -> Instantiation:
-        return frozenset(self.members[i] for i in self.member_indices(mask))
-
-
 def _maximal_masks(masks: list[int]) -> list[int]:
     kept: list[int] = []
     for mask in sorted(masks, key=lambda m: -bin(m).count("1")):
@@ -233,25 +107,37 @@ def _maximal_masks(masks: list[int]) -> list[int]:
     return kept
 
 
-def _entry(universe: _Universe, tps: ParametricSemantics, mask: int) -> MapEntry:
-    members = [universe.members[i] for i in universe.member_indices(mask)]
-    slots = universe.slots(tps.selector, mask)
+def _entry(state: WeightedState, tps: ParametricSemantics, mask: int) -> MapEntry:
+    members = [state.members[i] for i in state.member_indices(mask)]
+    slots = state.slots(tps.selector, mask)
     effective = tuple(wf for wf, s in zip(members, slots) if s != ZERO)
     suppressed = tuple(wf for wf, s in zip(members, slots) if s == ZERO)
     return MapEntry(frozenset(members), effective, suppressed)
 
 
-def _result(universe: _Universe, tps: ParametricSemantics, argmax: list[int]) -> MapResult:
+def _result(state: WeightedState, tps: ParametricSemantics, argmax: list[int]) -> MapResult:
     maximal = _maximal_masks(argmax)
-    entries = [_entry(universe, tps, m) for m in maximal]
+    entries = [_entry(state, tps, m) for m in maximal]
     entries.sort(key=lambda e: tuple(formula_key(wf.formula) for wf in canonical_order(e.instantiation)))
-    strength = universe.strength(tps, maximal[0]) if maximal else ZERO
+    strength = state.strength(tps, maximal[0]) if maximal else ZERO
     return MapResult(tuple(entries), strength)
 
 
-def _universe_of(M: Union[TMLN, Instantiation]) -> _Universe:
+def _state_of(M: Union[TMLN, Instantiation]) -> WeightedState:
     members = ground(M) if isinstance(M, TMLN) else frozenset(M)
-    return _Universe(canonical_order(members))
+    return WeightedState(canonical_order(members))
+
+
+def _argmax(scores: list[Score]) -> list[int]:
+    """Indices of the maximal scores, tied by :func:`scores_equal`.
+
+    Only scores whose float is near the float maximum are compared exactly.
+    """
+    floats = [float(s) for s in scores]
+    top = max(floats) - SCORE_TOLERANCE
+    near = [m for m, f in enumerate(floats) if f >= top]
+    best = max(scores[m] for m in near)
+    return [m for m in near if scores_equal(scores[m], best)]
 
 
 def map_batch(
@@ -265,50 +151,33 @@ def map_batch(
     only in their validator, so a full component sweep costs little more
     than a single search.
     """
-    universe = _universe_of(M)
+    state = _state_of(M)
     limit = exhaustive_bound(bound)
-    if universe.n > limit:
+    if state.n > limit:
         raise BoundExceededError(
-            f"instantiation has {universe.n} formulae, over the exhaustive "
+            f"instantiation has {state.n} formulae, over the exhaustive "
             f"bound {limit}; use the pruned search"
         )
-    selector_key = {}
-    agg_key = {}
-    plans = []
-    for tps in semantics:
-        skey = (tps.selector.kind, tps.selector.alpha)
-        selector_key.setdefault(skey, tps.selector)
-        akey = (skey, tps.aggregator.kind, tps.aggregator.alpha)
-        agg_key.setdefault(akey, (skey, tps.aggregator))
-        plans.append((tps.validator.relation, akey))
+    selectors = list(dict.fromkeys(tps.selector for tps in semantics))
+    pairs = list(
+        dict.fromkeys((selectors.index(tps.selector), tps.aggregator) for tps in semantics)
+    )
+    plans = [
+        (tps.validator.accepting_kind, pairs.index((selectors.index(tps.selector), tps.aggregator)))
+        for tps in semantics
+    ]
 
-    total = 1 << universe.n
     scores_per_tps: list[list[Score]] = [[] for _ in semantics]
-    for mask in range(total):
-        flags = universe.relation_flags(mask)
-        tcon, pcon, pinc, tinc = flags
-        accepted = {
-            Relation.TCON: tcon,
-            Relation.PCON: pcon,
-            Relation.PINC: not pinc,
-            Relation.TINC: not tinc,
-        }
-        slots = {
-            skey: universe.slots(sel, mask) for skey, sel in selector_key.items()
-        }
-        aggregated = {
-            akey: agg(slots[skey]) for akey, (skey, agg) in agg_key.items()
-        }
-        for k, (relation, akey) in enumerate(plans):
-            scores_per_tps[k].append(aggregated[akey] if accepted[relation] else ZERO)
+    for mask in range(1 << state.n):
+        slots = [state.slots(sel, mask) for sel in selectors]
+        aggregated = [agg(slots[k]) for k, agg in pairs]
+        for scores, (kind, k) in zip(scores_per_tps, plans):
+            scores.append(aggregated[k] if state.holds(kind, mask) else ZERO)
 
-    results = []
-    for k, tps in enumerate(semantics):
-        scores = scores_per_tps[k]
-        best = max(float(s) for s in scores)
-        argmax = [m for m in range(total) if float(scores[m]) >= best - SCORE_TOLERANCE]
-        results.append(_result(universe, tps, argmax))
-    return results
+    return [
+        _result(state, tps, _argmax(scores))
+        for tps, scores in zip(semantics, scores_per_tps)
+    ]
 
 
 def map_exhaustive(
@@ -335,61 +204,51 @@ def _check_prunable(tps: ParametricSemantics) -> None:
 def map_pruned(M: Union[TMLN, Instantiation], tps: ParametricSemantics) -> MapResult:
     """Branch-and-bound over the inclusion order; equals the exhaustive result.
 
-    Sound because, for the shipped components, a consistency violation is
-    persistent under supersets (closures only grow) and the aggregator is
-    monotone and symmetric, so the score of any extension is bounded by
-    aggregating every remaining weight at its selector ceiling.
+    Sound because, for the shipped components, a validator rejection is
+    persistent under supersets (closures only grow), so a rejected subset
+    is never extended, and the aggregator is monotone and symmetric, so the
+    score of any extension is bounded by aggregating every remaining weight
+    at its selector ceiling.  One pass keeps the best positive score and the
+    subsets tying it; when no subset scores above 0, every subset ties at 0
+    and the full instantiation is the single inclusion-maximal optimum.
     """
     _check_prunable(tps)
-    universe = _universe_of(M)
-    n = universe.n
-    ceilings = [tps.selector.slot_ceiling(w) for w in universe.weights]
-    # suffix_ceilings[d] = ceilings of the formulae still undecided at depth d
+    state = _state_of(M)
+    n = state.n
+    kind = tps.validator.accepting_kind
+    ceilings = [tps.selector.slot_ceiling(w) for w in state.weights]
+    # suffix[d] = ceilings of the formulae still undecided at depth d
     suffix: list[list[Weight]] = [[] for _ in range(n + 1)]
     for d in range(n - 1, -1, -1):
         suffix[d] = suffix[d + 1] + [ceilings[d]]
 
-    def optimistic(mask: int, depth: int) -> float:
-        chosen = [ceilings[i] for i in universe.member_indices(mask)]
-        return float(tps.aggregator(tuple(chosen + suffix[depth])))
+    best: Score = ZERO
+    found: list[tuple[Score, int]] = []
 
-    best = 0.0  # the empty state always scores zero
+    def below_best(score: Score) -> bool:
+        return score < best and not scores_equal(score, best)
 
-    def search_value(mask: int, depth: int) -> None:
+    def search(mask: int, depth: int) -> None:
         nonlocal best
         if depth == n:
-            best = max(best, float(universe.strength(tps, mask)))
+            score = tps.aggregator(state.slots(tps.selector, mask))
+            if score > 0 and not below_best(score):
+                found.append((score, mask))
+                best = max(best, score)
             return
-        if optimistic(mask, depth) <= best:
+        chosen = [ceilings[i] for i in state.member_indices(mask)]
+        optimistic = tps.aggregator(tuple(chosen + suffix[depth]))
+        if optimistic == 0 or below_best(optimistic):
             return
-        if best > SCORE_TOLERANCE and not universe.accepts(tps.validator.relation, mask):
-            return
-        search_value(mask | (1 << depth), depth + 1)
-        search_value(mask, depth + 1)
+        extended = mask | 1 << depth
+        if state.holds(kind, extended):
+            search(extended, depth + 1)
+        search(mask, depth + 1)
 
-    search_value(0, 0)
-
-    if best <= SCORE_TOLERANCE:
-        # Every subset scores zero, so the full instantiation is the single
-        # inclusion-maximal argmax state.
-        return _result(universe, tps, [(1 << n) - 1])
-
-    argmax: list[int] = []
-
-    def collect(mask: int, depth: int) -> None:
-        if depth == n:
-            if float(universe.strength(tps, mask)) >= best - SCORE_TOLERANCE:
-                argmax.append(mask)
-            return
-        if optimistic(mask, depth) < best - SCORE_TOLERANCE:
-            return
-        if not universe.accepts(tps.validator.relation, mask):
-            return
-        collect(mask | (1 << depth), depth + 1)
-        collect(mask, depth + 1)
-
-    collect(0, 0)
-    return _result(universe, tps, argmax)
+    search(0, 0)
+    if best == 0:
+        return _result(state, tps, [state.full])
+    return _result(state, tps, [m for s, m in found if scores_equal(s, best)])
 
 
 # --- conclusion queries -------------------------------------------------------

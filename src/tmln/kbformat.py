@@ -92,7 +92,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<punct>=>|[(){},:&!]))"
 )
 
-_WEIGHT_RE = re.compile(r"^(?:\d+)(?:\.\d{1,9})?$")
+WEIGHT_RE = re.compile(r"^(?:\d+)(?:\.\d{1,9})?$")
 
 
 @dataclass(frozen=True)
@@ -453,7 +453,7 @@ class _Parser:
 
     def parse_weight(self, lp: _LineParser) -> Fraction:
         tok = lp.expect("num", what="weight")
-        if not _WEIGHT_RE.match(tok.text):
+        if not WEIGHT_RE.match(tok.text):
             lp.error(f"malformed weight {tok.text!r}", tok)
         value = Fraction(tok.text)
         if not 0 <= value <= 1:

@@ -33,7 +33,7 @@ from .network import (
     canonical_order,
     ground,
 )
-from .semantics import ParametricSemantics
+from .semantics import ParametricSemantics, Score
 
 
 class OracleBoundError(Exception):
@@ -168,7 +168,9 @@ def _relation_truth(literals: frozenset[Literal]) -> dict[str, bool]:
     }
 
 
-def _validator_value(relation: str, literals: frozenset[Literal]) -> int:
+def brute_delta(relation: str, members: Sequence[WeightedFormula]) -> int:
+    """Validator value from relations evaluated on materialized point sets."""
+    literals = brute_closure([wf.formula for wf in members], bound=len(members) + 1)
     truth = _relation_truth(literals)
     if relation in ("pCon", "tCon"):
         return 1 if truth[relation] else 0
@@ -192,25 +194,31 @@ def _selected(selector, members: Sequence[WeightedFormula]) -> list[Weight]:
     return slots
 
 
-def _aggregated(aggregator, weights: Sequence[Weight]) -> float:
-    values = [float(w) for w in weights]
-    if not values:
-        return 0.0
-    if aggregator.kind == "sum":
-        return sum(values)
+def _aggregated(aggregator, weights: Sequence[Weight]) -> Score:
+    """Exact rational arithmetic, except floats for ``sum_alpha``."""
     if aggregator.kind == "sum_alpha":
+        values = [float(w) for w in weights]
         return sum(v ** aggregator.alpha for v in values) ** (1.0 / aggregator.alpha)
-    acc = values[0]
-    for v in values[1:]:
-        acc = acc + v - acc * v
+    acc = Fraction(0)
+    for w in weights:
+        acc = acc + w if aggregator.kind == "sum" else acc + w - acc * w
     return acc
 
 
-def brute_strength(tps: ParametricSemantics, members: Sequence[WeightedFormula]) -> float:
-    literals = brute_closure([wf.formula for wf in members], bound=len(members) + 1)
-    if _validator_value(tps.validator.relation.value, literals) == 0:
-        return 0.0
+def brute_strength(tps: ParametricSemantics, members: Sequence[WeightedFormula]) -> Score:
+    if brute_delta(tps.validator.relation.value, members) == 0:
+        return 0.0 if tps.aggregator.kind == "sum_alpha" else Fraction(0)
     return _aggregated(tps.aggregator, _selected(tps.selector, members))
+
+
+def _optimal(scored: list[tuple[Score, tuple[WeightedFormula, ...]]], tolerance: float):
+    best = max(s for s, _ in scored)
+    if isinstance(best, Fraction):
+        argmax = [frozenset(c) for s, c in scored if s == best]
+    else:
+        argmax = [frozenset(c) for s, c in scored if s >= best - tolerance]
+    maximal = frozenset(a for a in argmax if not any(a < b for b in argmax))
+    return maximal, best
 
 
 def brute_map(
@@ -218,24 +226,25 @@ def brute_map(
     tps: ParametricSemantics,
     bound: int = 14,
     tolerance: float = 1e-9,
-) -> tuple[frozenset[Instantiation], float]:
-    """Literal transcription of the inference definition, with no pruning."""
+) -> tuple[frozenset[Instantiation], Score]:
+    """Literal transcription of the inference definition, with no pruning.
+
+    Scores are exact fractions, compared exactly, except under ``sum_alpha``,
+    where floats tie within ``tolerance``.
+    """
     members = list(canonical_order(ground(M) if isinstance(M, TMLN) else M))
     if len(members) > bound:
         raise OracleBoundError(f"{len(members)} formulae exceed the oracle bound {bound}")
-    scored: list[tuple[float, tuple[WeightedFormula, ...]]] = []
+    scored = []
     for r in range(len(members) + 1):
         for combo in itertools.combinations(members, r):
             scored.append((brute_strength(tps, combo), combo))
-    best = max(s for s, _ in scored)
-    argmax = [frozenset(c) for s, c in scored if s >= best - tolerance]
-    maximal = frozenset(a for a in argmax if not any(a < b for b in argmax))
-    return maximal, best
+    return _optimal(scored, tolerance)
 
 
 def brute_classical_optimum(
-    M: Union[TMLN, Instantiation], bound: int = 14, tolerance: float = 1e-9
-) -> tuple[frozenset[Instantiation], float]:
+    M: Union[TMLN, Instantiation], bound: int = 14
+) -> tuple[frozenset[Instantiation], Fraction]:
     """Best classically consistent states: no literal derived with its negation.
 
     Consistency here is exact complementary-atom clash (same predicate,
@@ -244,14 +253,11 @@ def brute_classical_optimum(
     members = list(canonical_order(ground(M) if isinstance(M, TMLN) else M))
     if len(members) > bound:
         raise OracleBoundError(f"{len(members)} formulae exceed the oracle bound {bound}")
-    scored: list[tuple[float, tuple[WeightedFormula, ...]]] = []
+    scored = []
     for r in range(len(members) + 1):
         for combo in itertools.combinations(members, r):
             literals = brute_closure([wf.formula for wf in combo], bound=len(combo) + 1)
             consistent = not any(l.negated() in literals for l in literals)
-            score = sum(float(wf.weight) for wf in combo) if consistent else 0.0
+            score = sum((wf.weight for wf in combo), Fraction(0)) if consistent else Fraction(0)
             scored.append((score, combo))
-    best = max(s for s, _ in scored)
-    argmax = [frozenset(c) for s, c in scored if s >= best - tolerance]
-    maximal = frozenset(a for a in argmax if not any(a < b for b in argmax))
-    return maximal, best
+    return _optimal(scored, 0.0)

@@ -321,7 +321,7 @@ def check_oracle_equivalence(
             maps.fail(f"pruned differs from exhaustive under {tps}")
         elif engine_states != set(oracle_states):
             maps.fail(f"engine differs from brute force under {tps}")
-        elif abs(float(exhaustive.strength) - oracle_best) > SCORE_TOLERANCE:
+        elif not scores_equal(exhaustive.strength, oracle_best):
             maps.fail(
                 f"strength mismatch {exhaustive.strength} vs {oracle_best} under {tps}"
             )
@@ -358,7 +358,7 @@ def check_classical_equivalence(
         result = map_exhaustive(M, tps)
         states, best = brute_classical_optimum(M)
         out.trials += 1
-        if abs(float(result.strength) - best) > SCORE_TOLERANCE:
+        if not scores_equal(result.strength, best):
             out.fail(f"strength {result.strength} vs classical {best}")
         elif set(result.instantiations) != set(states):
             out.fail("optimal states differ from the classical oracle")

@@ -20,11 +20,12 @@ of consistent facts) provable for the assembled semantics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .kernel import Literal, Rule, closure_literals, entails
+from .kernel import Literal, closure_literals
 from .network import (
     WeightedFormula,
     Weight,
@@ -32,7 +33,7 @@ from .network import (
     canonical_order,
     tf,
 )
-from .temporal import Relation, RelationKind, Timeline, relation_holds, tau
+from .temporal import GroundState, Relation, RelationKind, Timeline, relation_holds, tau
 
 Score = Union[Fraction, float]
 
@@ -44,6 +45,10 @@ class SemanticsError(Exception):
 
 
 def scores_equal(a: Score, b: Score) -> bool:
+    """Rational scores tie exactly; a float score (``sum_alpha``) ties within
+    ``SCORE_TOLERANCE``."""
+    if isinstance(a, (Fraction, int)) and isinstance(b, (Fraction, int)):
+        return a == b
     return abs(float(a) - float(b)) <= SCORE_TOLERANCE
 
 
@@ -107,15 +112,8 @@ class Selector:
             raise SemanticsError(f"selector threshold {self.alpha} outside [0, 1)")
 
     def __call__(self, items: Sequence[WeightedFormula]) -> tuple[Weight, ...]:
-        items = tuple(items)
-        if self.kind == "id":
-            return tuple(wf.weight for wf in items)
-        if self.kind == "thresh":
-            return tuple(max(wf.weight - self.alpha, ZERO) for wf in items)
-        slots = []
-        for i, wf in enumerate(items):
-            slots.append(_imp(wf, items[:i] + items[i + 1 :]))
-        return tuple(slots)
+        state = WeightedState(tuple(items))
+        return state.slots(self, state.full)
 
     def slot_ceiling(self, weight: Weight) -> Weight:
         """Largest slot value this selector can assign to the given weight."""
@@ -129,14 +127,44 @@ class Selector:
         return self.kind
 
 
-def _imp(wf: WeightedFormula, others: Sequence[WeightedFormula]) -> Weight:
-    """A ground rule keeps its weight only if all premises are deducible."""
-    f = wf.formula
-    if isinstance(f, Rule) and f.is_ground:
-        derived = closure_literals(tf(others))
-        if any(p not in derived for p in f.premises):
+class WeightedState(GroundState):
+    """A ground state with its weights: every state is scored here.
+
+    Subsets are bitmasks over ``members``; selector slots and strengths of
+    any subset are computed on the interned closure of :class:`GroundState`.
+    """
+
+    def __init__(self, members: Sequence[WeightedFormula]):
+        self.members = tuple(members)
+        self.weights = tuple(wf.weight for wf in self.members)
+        super().__init__([wf.formula for wf in self.members])
+
+    def member_indices(self, mask: int) -> list[int]:
+        return [i for i in range(self.n) if mask >> i & 1]
+
+    def slots(self, selector: Selector, mask: int) -> tuple[Weight, ...]:
+        """Selector output for the subset, slot for slot in member order.
+
+        Under ``rule`` a rule keeps its weight only if all its premises are
+        deducible from the other members of the subset.
+        """
+        indices = self.member_indices(mask)
+        if selector.kind == "id":
+            return tuple(self.weights[i] for i in indices)
+        if selector.kind == "thresh":
+            return tuple(max(self.weights[i] - selector.alpha, ZERO) for i in indices)
+        out = []
+        for i in indices:
+            if self.prem_mask[i] & ~self.closure_bits(mask & ~(1 << i)):
+                out.append(ZERO)
+            else:
+                out.append(self.weights[i])
+        return tuple(out)
+
+    def strength(self, tps: "ParametricSemantics", mask: int) -> Score:
+        if not self.holds(tps.validator.accepting_kind, mask):
             return ZERO
-    return wf.weight
+        return tps.aggregator(self.slots(tps.selector, mask))
 
 
 def select(sigma: Selector, instantiation: Iterable[WeightedFormula]) -> tuple[Weight, ...]:
@@ -162,6 +190,8 @@ class Aggregator:
     def __post_init__(self) -> None:
         if self.kind not in ("sum", "sum_alpha", "psum"):
             raise SemanticsError(f"unknown aggregator {self.kind!r}")
+        if self.kind == "sum_alpha" and not math.isfinite(self.alpha):
+            raise SemanticsError(f"aggregator exponent {self.alpha} is not finite")
         if self.kind == "sum_alpha" and self.alpha < 1:
             raise SemanticsError(f"aggregator exponent {self.alpha} below 1")
 
@@ -204,10 +234,8 @@ class ParametricSemantics:
     aggregator: Aggregator
 
     def strength(self, instantiation: Iterable[WeightedFormula]) -> Score:
-        items = canonical_order(instantiation)
-        if self.validator(items) == 0:
-            return ZERO
-        return self.aggregator(self.selector(items))
+        state = WeightedState(canonical_order(instantiation))
+        return state.strength(self, state.full)
 
     def __str__(self) -> str:
         return f"<{self.validator},{self.selector},{self.aggregator}>"
@@ -287,7 +315,7 @@ class AuditSample:
 def _tau_novel(sample: AuditSample) -> bool:
     base = tau(tf(sample.items), sample.timeline)
     target = next(iter(tau([sample.fresh], sample.timeline)))
-    return not entails(base, target)
+    return target not in closure_literals(base)
 
 
 def _consistent_with(sample: AuditSample, kind: RelationKind) -> bool:

@@ -17,22 +17,19 @@ pairs in the derivability closure: ``P(args, t1, t1')`` against
 
 ``tCon`` and ``pInc`` are complements; ``tCon => pCon => !tInc`` and dually
 ``tInc => !pCon => pInc``.
+
+Relations are evaluated on a :class:`GroundState`, which interns the literals
+of ground formulae as bits; the closure and the relations of any subset of
+its formulae are then integer work.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .kernel import (
-    Formula,
-    GroundnessError,
-    Literal,
-    Rule,
-    TimePoint,
-    closure_literals,
-)
+from .kernel import Formula, GroundnessError, Literal, Rule, TimePoint
 
 
 class TemporalError(Exception):
@@ -147,46 +144,126 @@ def tau(formulae: Iterable[Formula], timeline: Timeline) -> frozenset[Formula]:
     return frozenset(out)
 
 
-def complementary_pairs(
-    literals: Iterable[Literal],
-) -> Iterator[tuple[TimeInterval, TimeInterval]]:
-    """Interval pairs of complementary literals (same predicate and args)."""
-    by_atom: dict[tuple[str, tuple], list[Literal]] = {}
-    for lit in literals:
-        by_atom.setdefault((lit.predicate, lit.args), []).append(lit)
-    for group in by_atom.values():
-        positives = [l for l in group if l.positive]
-        negatives = [l for l in group if not l.positive]
-        for p in positives:
-            for n in negatives:
-                yield ti(p.lower, p.upper), ti(n.lower, n.upper)
+# Kinds of clash between the intervals of a complementary literal pair.
+OVERLAP = 1  # the intervals share a point
+EQUAL = 2  # the intervals coincide
+NESTED = 4  # one interval has no point outside the other
+
+#: Per relation: the clash kind that decides it, and whether the relation
+#: holds when some complementary pair of the closure shows that kind.
+_WITNESS = {
+    Relation.PCON: (NESTED, False),
+    Relation.TCON: (OVERLAP, False),
+    Relation.PINC: (OVERLAP, True),
+    Relation.TINC: (EQUAL, True),
+}
 
 
-def _evaluate(relation: Relation, pairs: list[tuple[TimeInterval, TimeInterval]]) -> bool:
-    if relation is Relation.PCON:
-        return all(
-            a.difference_nonempty(b) and b.difference_nonempty(a) for a, b in pairs
-        )
-    if relation is Relation.TCON:
-        return all(not a.intersects(b) for a, b in pairs)
-    if relation is Relation.PINC:
-        return any(a.intersects(b) for a, b in pairs)
-    return any(a == b for a, b in pairs)
+def _clash(a: TimeInterval, b: TimeInterval) -> int:
+    kinds = OVERLAP if a.intersects(b) else 0
+    if a == b:
+        kinds |= EQUAL
+    if not (a.difference_nonempty(b) and b.difference_nonempty(a)):
+        kinds |= NESTED
+    return kinds
+
+
+class GroundState:
+    """Interned view of a sequence of ground formulae, scored subset by subset.
+
+    A subset is a bitmask over ``formulae``.  Every literal occurring anywhere
+    (fact, premise or conclusion) gets one bit, so derivability closures and
+    the clashes of complementary pairs inside them are integer work, memoized
+    per subset.  This is the only place relations are evaluated.
+    """
+
+    def __init__(self, formulae: Sequence[Formula]):
+        self.n = len(formulae)
+        self.full = (1 << self.n) - 1
+        lit_ids: dict[Literal, int] = {}
+
+        def bit(lit: Literal) -> int:
+            if not lit.is_ground:
+                raise GroundnessError(f"non-ground literal {lit}")
+            return 1 << lit_ids.setdefault(lit, len(lit_ids))
+
+        self.fact_bit: list[int] = []
+        self.prem_mask: list[int] = []
+        self.concl_bit: list[int] = []
+        for f in formulae:
+            if isinstance(f, Literal):
+                self.fact_bit.append(bit(f))
+                self.prem_mask.append(0)
+                self.concl_bit.append(0)
+            else:
+                mask = 0
+                for p in f.premises:
+                    mask |= bit(p)
+                self.fact_bit.append(0)
+                self.prem_mask.append(mask)
+                self.concl_bit.append(bit(f.conclusion))
+        self.rule_indices = [i for i, f in enumerate(formulae) if isinstance(f, Rule)]
+
+        # Complementary literal pairs: both bits, and their clash kinds.
+        by_atom: dict[tuple[str, tuple], list[Literal]] = {}
+        for lit in lit_ids:
+            by_atom.setdefault((lit.predicate, lit.args), []).append(lit)
+        self.pairs: list[tuple[int, int]] = []
+        for group in by_atom.values():
+            for pos in (l for l in group if l.positive):
+                for neg in (l for l in group if not l.positive):
+                    both = 1 << lit_ids[pos] | 1 << lit_ids[neg]
+                    kinds = _clash(ti(pos.lower, pos.upper), ti(neg.lower, neg.upper))
+                    self.pairs.append((both, kinds))
+        self._closure: dict[int, int] = {}
+        self._clashes: dict[int, int] = {}
+
+    def closure_bits(self, mask: int) -> int:
+        """Literal bits derivable from the subset: its facts, then rule firing."""
+        cached = self._closure.get(mask)
+        if cached is not None:
+            return cached
+        lits = 0
+        for i in range(self.n):
+            if mask >> i & 1:
+                lits |= self.fact_bit[i]
+        changed = True
+        while changed:
+            changed = False
+            for i in self.rule_indices:
+                if mask >> i & 1:
+                    concl = self.concl_bit[i]
+                    if concl & ~lits and not self.prem_mask[i] & ~lits:
+                        lits |= concl
+                        changed = True
+        self._closure[mask] = lits
+        return lits
+
+    def clashes(self, mask: int) -> int:
+        """Union of the clash kinds of the complementary pairs in the closure."""
+        cached = self._clashes.get(mask)
+        if cached is not None:
+            return cached
+        lits = self.closure_bits(mask)
+        kinds = 0
+        for both, pair_kinds in self.pairs:
+            if lits & both == both:
+                kinds |= pair_kinds
+        self._clashes[mask] = kinds
+        return kinds
+
+    def holds(self, kind: RelationKind, mask: int) -> bool:
+        """Evaluate a (possibly negated) relation on the closure of the subset.
+
+        With no complementary pair the consistency relations hold vacuously
+        and the inconsistency relations fail.
+        """
+        witness, when_present = _WITNESS[kind.relation]
+        value = (self.clashes(mask) & witness != 0) == when_present
+        return value != kind.negated
 
 
 def relation_holds(kind: RelationKind, formulae: Iterable[Formula]) -> bool:
-    """Evaluate a consistency relation on the closure of ground formulae.
-
-    The scan quantifies over complementary literal pairs of the derivability
-    closure; with no such pair the consistency relations hold vacuously and
-    the inconsistency relations fail.
-    """
-    formulae = list(formulae)
-    for f in formulae:
-        if isinstance(f, Literal) and not f.is_ground:
-            raise GroundnessError(f"non-ground literal {f}")
-        if isinstance(f, Rule) and not f.is_ground:
-            raise GroundnessError(f"non-ground rule {f}")
-    pairs = list(complementary_pairs(closure_literals(formulae)))
-    value = _evaluate(kind.relation, pairs)
-    return not value if kind.negated else value
+    """Evaluate a consistency relation on the closure of ground formulae."""
+    state = GroundState(list(formulae))
+    return state.holds(kind, state.full)

@@ -136,6 +136,48 @@ class TestMap:
         assert code == 0
         assert "strength: 0" in out
 
+    def test_ninth_decimal_breaks_the_tie(self, tmp_path, capsys):
+        from test_inference import TIE_KB
+
+        kb = tmp_path / "tie.tmln"
+        kb.write_text(TIE_KB)
+        for extra in ([], ["--pruned"], ["--theta", "psum"], ["--theta", "psum", "--pruned"]):
+            code, out, _ = run_cli("map", str(kb), "--delta", "tCon", *extra, capsys=capsys)
+            assert code == 0
+            assert "strength: 0.500000001\n" in out, extra
+            assert "map 2:" not in out and "!P(A, 3, 8) : 0.500000001" in out, extra
+        code, out, _ = run_cli("oracle-compare", str(kb), capsys=capsys)
+        assert code == 0 and "map: match" in out
+
+    @pytest.mark.parametrize("bound", ["abc", "-1", "2.5"])
+    def test_bad_bound_flag_exits_two(self, bound, capsys):
+        code, out, err = run_cli(
+            "map", ORESME, "--delta", "tCon", "--bound", bound, capsys=capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "non-negative integer" in err
+
+    @pytest.mark.parametrize("bound", ["abc", "-1"])
+    def test_bad_bound_env_var_exits_two(self, bound, monkeypatch, capsys):
+        monkeypatch.setenv("TMLN_EXHAUSTIVE_BOUND", bound)
+        for extra in ([], ["--pruned"]):
+            code, _, err = run_cli("map", ORESME, "--delta", "tCon", *extra, capsys=capsys)
+            assert code == 2
+            assert err.count("\n") == 1 and "TMLN_EXHAUSTIVE_BOUND" in err
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--theta", "sum_alpha:nan", "not finite"),
+            ("--theta", "sum_alpha:inf", "not finite"),
+            ("--sigma", "thresh:1/3", "nine fractional digits"),
+            ("--sigma", "thresh:0.1234567891", "nine fractional digits"),
+        ],
+    )
+    def test_bad_component_parameter_exits_one(self, option, value, message, capsys):
+        code, _, err = run_cli("map", ORESME, "--delta", "tCon", option, value, capsys=capsys)
+        assert code == 1 and message in err
+
 
 class TestSweep:
     def test_single_config_matches_map(self, tmp_path, capsys):

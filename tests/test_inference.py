@@ -195,6 +195,34 @@ class TestConclusions:
             parse_query("P(TMIN, TMAX)")
 
 
+# Two facts whose weights differ in the ninth decimal and clash under tCon:
+# the heavier one alone is the single optimum, not a tie.
+TIE_KB = (
+    "sort S\n"
+    "timeline 0 9\n"
+    "const A : S\n"
+    "pred P(S)\n"
+    "fact P(A, 0, 5) : 0.5\n"
+    "fact !P(A, 3, 8) : 0.500000001\n"
+)
+
+
+class TestExactTies:
+    @pytest.mark.parametrize("theta", ["sum", "psum"])
+    def test_ninth_decimal_breaks_the_tie(self, theta):
+        from tmln.kbformat import parse
+
+        M = parse(TIE_KB).tmln
+        config = tps("tCon", theta=theta)
+        (heavier,) = (wf for wf in M.facts if not wf.formula.positive)
+        for result in (map_exhaustive(M, config), map_pruned(M, config)):
+            assert result.instantiations == (frozenset({heavier}),)
+            assert result.strength == F("0.500000001")
+        states, best = brute_map(M, config)
+        assert states == frozenset({frozenset({heavier})})
+        assert best == F("0.500000001")
+
+
 class TestAgainstOracle:
     def test_worked_example_matches_brute_force(self, oresme):
         for d, s, t, _, _ in EXPECTED[:6]:

@@ -18,8 +18,10 @@ from tmln.semantics import (
     audit_well_behaved,
     delta,
     select,
+    shipped_combinations,
     strength,
 )
+from tmln.oracle import brute_delta, brute_strength
 from tmln.temporal import Relation, RelationKind
 
 from strategies import instantiations, weight_tuples
@@ -79,6 +81,11 @@ class TestAggregate:
     def test_alpha_below_one_rejected(self):
         with pytest.raises(SemanticsError, match="below 1"):
             Aggregator("sum_alpha", 0.5)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(SemanticsError, match="not finite"):
+            Aggregator("sum_alpha", alpha)
 
     @given(weight_tuples)
     def test_symmetry_and_monotonicity(self, ws):
@@ -169,6 +176,26 @@ class TestStrength:
             }
             assert scores[Relation.TCON] <= scores[Relation.PCON] + 1e-9
             assert scores[Relation.PCON] <= scores[Relation.TINC] + 1e-9
+
+
+class TestAgainstOracle:
+    def test_single_state_scoring_matches_brute_force(self):
+        # The validator, selector and aggregator of one state all run on the
+        # interned state; the oracle evaluates relations on point sets and
+        # scores in plain fractions.
+        rng = random.Random(2022)
+        combos = shipped_combinations()
+        for _ in range(150):
+            items = random_instantiation(rng)
+            for relation in Relation:
+                assert delta(relation, items) == brute_delta(relation.value, items)
+            for config in combos:
+                engine = strength(config, items)
+                oracle = brute_strength(config, items)
+                if config.aggregator.kind == "sum_alpha":
+                    assert float(engine) == pytest.approx(float(oracle), abs=1e-9)
+                else:
+                    assert engine == oracle, (config, items)
 
 
 class TestAudit:
