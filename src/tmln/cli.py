@@ -36,8 +36,8 @@ from .network import (
     WeightedFormula,
     canonical_order,
     ground,
+    support_weights,
     tf,
-    weight_of,
     weight_str,
 )
 from .oracle import (
@@ -457,9 +457,10 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
 
     members = sorted(M.facts | M.rules, key=str)
     if len(members) <= 10:
+        engine_weights = support_weights(M)
         for wf in canonical_order(M.facts):
             assert isinstance(wf.formula, Literal)
-            engine_w = weight_of(wf.formula, M)
+            engine_w = engine_weights[wf.formula]
             oracle_w = brute_weight(wf.formula, M)
             reports.append(
                 OracleReport(

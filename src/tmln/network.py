@@ -7,12 +7,18 @@ whose premises are all derivable, weighted by the weakest link used to build
 it.  Any subset of the maximal instantiation is a *state* that the semantics
 layer can score.
 
+Support weights are one fixpoint over the (max, min) semiring: a literal's
+weight is the max over its derivations of the min weight along each.  Both
+grounding and every support-weight query are answered from that fixpoint.
+
 Weights are exact fractions constructed from decimal strings, so grounding
 and support weights never pick up binary floating point drift.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -23,7 +29,6 @@ from .kernel import (
     Literal,
     Rule,
     Signature,
-    TEMPORAL_SORT,
     TimePoint,
     _match_literal,
     closure_literals,
@@ -167,6 +172,12 @@ class TMLN:
                 continue
             if not r.variables():
                 report.append(f"rule {r} has no variables")
+            premise_vars = {v.name for p in r.premises for v in p.variables()}
+            loose = {v.name for v in r.conclusion.variables()} - premise_vars
+            if loose:
+                report.append(
+                    f"rule {r}: conclusion variables {sorted(loose)} do not occur in any premise"
+                )
             for lit in (*r.premises, r.conclusion):
                 report.extend(self._check_literal(lit))
         return report
@@ -200,13 +211,13 @@ class TMLN:
 
 def tf(items: Union[TMLN, Iterable[WeightedFormula]]) -> frozenset[Formula]:
     """Project away the weights, merging duplicate formulae."""
-    return frozenset(wf.formula for wf in _weighted(items))
+    return frozenset(wf.formula for wf in _members(items))
 
 
-def _weighted(items: Union[TMLN, Iterable[WeightedFormula]]) -> tuple[WeightedFormula, ...]:
+def _members(items: Union[TMLN, Iterable[WeightedFormula]]) -> tuple[WeightedFormula, ...]:
     if isinstance(items, TMLN):
-        return canonical_order(items.facts | items.rules)
-    return canonical_order(items)
+        return tuple(items.facts | items.rules)
+    return tuple(items)
 
 
 def _derivations(
@@ -255,8 +266,12 @@ def _derivations(
 def minimal_supports(
     target: Literal, items: Union[TMLN, Iterable[WeightedFormula]]
 ) -> list[frozenset[WeightedFormula]]:
-    """Inclusion-minimal subsets whose formulae entail ``target``."""
-    seq = _weighted(items)
+    """Inclusion-minimal subsets whose formulae entail ``target``.
+
+    Enumerates derivation trees, so it is exponential in the depth of the
+    derivations; support weights come from :func:`support_weights` instead.
+    """
+    seq = canonical_order(_members(items))
     universe = closure_literals(tf(seq))
     if target not in universe:
         return []
@@ -271,41 +286,89 @@ def minimal_supports(
     return out
 
 
-def weight_of(target: Literal, items: Union[TMLN, Iterable[WeightedFormula]]) -> Weight:
-    """Maximal weight at which ``target`` is deducible.
+def _fixpoint(
+    items: Union[TMLN, Iterable[WeightedFormula]]
+) -> tuple[dict[Literal, Weight], list[tuple[Rule, Weight]]]:
+    """Support weights of every derivable literal, and every rule instance.
 
-    Maximum over the inclusion-minimal entailing subsets of the minimum
-    weight inside each subset.  Raises when the target is not derivable.
+    The closure of the knowledge base is computed once and each rule's ground
+    instances are enumerated once against it; bindings that leave a
+    conclusion variable unbound contribute nothing, as in ``derive_closure``.
+    Literals are then settled in decreasing weight order (Knuth's
+    generalisation of Dijkstra's algorithm): an instance fires once all its
+    premises are settled, and the premise settled last is its weakest, so the
+    instance's weight is the min of that premise's weight and the rule's.
+    A fact stated at several weights starts from the largest.
     """
-    supports = minimal_supports(target, items)
-    if not supports:
-        raise NotDerivableError(f"{target} is not derivable")
-    return max(min(wf.weight for wf in s) for s in supports)
+    members = _members(items)
+    formulae = tf(members)
+    # Rules in canonical order, so the closure's rounds do not depend on hashing.
+    rules = sorted((f for f in formulae if isinstance(f, Rule)), key=formula_key)
+    universe = closure_literals([f for f in formulae if isinstance(f, Literal)] + rules)
+    weights: dict[Literal, Weight] = {}
+    instances: list[tuple[Rule, Weight]] = []
+    waiting: list[int] = []  # per instance, its premises not yet settled
+    uses: dict[Literal, list[int]] = {}  # premise -> the instances using it
+    for wf in members:
+        f = wf.formula
+        if isinstance(f, Literal):
+            if f not in weights or weights[f] < wf.weight:
+                weights[f] = wf.weight
+            continue
+        for binding in match_premises(f.premises, universe):
+            if not f.conclusion.variables() <= binding.keys():
+                continue
+            rule = substitute(f, binding)
+            premises = set(rule.premises)
+            for p in premises:
+                uses.setdefault(p, []).append(len(instances))
+            waiting.append(len(premises))
+            instances.append((rule, wf.weight))
+
+    tiebreak = itertools.count()
+    heap = [(-w, next(tiebreak), lit) for lit, w in weights.items()]
+    heapq.heapify(heap)
+    settled: set[Literal] = set()
+    fired: list[tuple[Rule, Weight]] = []
+    while heap:
+        _, _, lit = heapq.heappop(heap)
+        if lit in settled:
+            continue
+        settled.add(lit)
+        w = weights[lit]
+        for i in uses.get(lit, ()):
+            waiting[i] -= 1
+            if waiting[i]:
+                continue
+            rule, rule_weight = instances[i]
+            value = min(rule_weight, w)
+            fired.append((rule, value))
+            head = rule.conclusion
+            if head not in weights or weights[head] < value:
+                weights[head] = value
+                heapq.heappush(heap, (-value, next(tiebreak), head))
+    return weights, fired
 
 
-def _conclusion_bindings(rule: Rule, binding: dict, M: TMLN) -> list[dict]:
-    """Extend a premise binding over variables that occur only in the conclusion."""
-    free = [v for v in rule.conclusion.variables() if v not in binding]
-    if not free:
-        return [binding]
-    out = [binding]
-    for var in free:
-        if var.sort == TEMPORAL_SORT:
-            values = [TimePoint(t) for t in range(M.timeline.lower, M.timeline.upper + 1)]
-        else:
-            values = [
-                Constant(name, sort)
-                for name, sort in sorted(M.signature.constants.items())
-                if sort == var.sort
-            ]
-        extended = []
-        for b in out:
-            for v in values:
-                nb = dict(b)
-                nb[var] = v
-                extended.append(nb)
-        out = extended
-    return out
+def support_weights(items: Union[TMLN, Iterable[WeightedFormula]]) -> dict[Literal, Weight]:
+    """Every derivable literal with the maximal weight at which it is deducible.
+
+    That weight is the max over derivations of the min weight of the formulae
+    each derivation uses, equivalently the max over the inclusion-minimal
+    entailing subsets of the min weight inside each subset.
+    """
+    return _fixpoint(items)[0]
+
+
+def weight_of(target: Literal, items: Union[TMLN, Iterable[WeightedFormula]]) -> Weight:
+    """Maximal weight at which ``target`` is deducible (see :func:`support_weights`).
+
+    Raises when the target is not derivable.
+    """
+    try:
+        return support_weights(items)[target]
+    except KeyError:
+        raise NotDerivableError(f"{target} is not derivable") from None
 
 
 def ground(M: TMLN) -> Instantiation:
@@ -316,20 +379,9 @@ def ground(M: TMLN) -> Instantiation:
     the rule's weight and the support weights of its premises.  Two bindings
     yielding the same ground rule are merged, keeping the larger weight.
     """
-    universe = closure_literals(tf(M))
     instances: dict[Rule, Weight] = {}
-    for wf in M.rules:
-        rule = wf.formula
-        assert isinstance(rule, Rule)
-        for binding in match_premises(rule.premises, universe):
-            for full in _conclusion_bindings(rule, binding, M):
-                gr = substitute(rule, full)
-                w = min(
-                    (weight_of(p, M) for p in gr.premises),
-                    default=ONE,
-                )
-                w = min(wf.weight, w)
-                if gr not in instances or instances[gr] < w:
-                    instances[gr] = w
+    for rule, w in _fixpoint(M)[1]:
+        if rule not in instances or instances[rule] < w:
+            instances[rule] = w
     members = set(M.facts) | {WeightedFormula(r, w) for r, w in instances.items()}
     return frozenset(members)

@@ -196,9 +196,6 @@ class Aggregator:
             raise SemanticsError(f"aggregator exponent {self.alpha} below 1")
 
     def __call__(self, weights: Sequence[Weight]) -> Score:
-        for w in weights:
-            if not ZERO <= w <= 1:
-                raise SemanticsError(f"weight {w} outside [0, 1]")
         if not weights:
             return ZERO
         if self.kind == "sum":
@@ -220,6 +217,14 @@ class Aggregator:
 
 
 def aggregate(theta: Aggregator, weights: Sequence[Weight]) -> Score:
+    """``theta(weights)`` after checking that every weight lies in [0, 1].
+
+    ``Aggregator.__call__`` trusts its input: engine weights were checked
+    when their ``WeightedFormula`` was built.
+    """
+    for w in weights:
+        if not ZERO <= w <= 1:
+            raise SemanticsError(f"weight {w} outside [0, 1]")
     return theta(weights)
 
 

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from tmln.kernel import Constant, Literal, Rule, Signature, TimePoint, Variable
+from tmln import kernel, network
+from tmln.kbformat import parse
+from tmln.kernel import Constant, Literal, Rule, Signature, TimePoint, Variable, closure_literals
 from tmln.network import (
     NotDerivableError,
     TMLN,
@@ -13,6 +15,7 @@ from tmln.network import (
     as_weight,
     ground,
     minimal_supports,
+    support_weights,
     tf,
     weight_of,
     weight_str,
@@ -95,8 +98,6 @@ class TestWeightOf:
             members = M.facts | M.rules
             if len(members) > 10:
                 continue
-            from tmln.kernel import closure_literals
-
             derivable = sorted(closure_literals(tf(M)), key=str)
             if not derivable:
                 continue
@@ -154,6 +155,18 @@ class TestGround:
         assert new == {added}
         assert all(wf_.weight == 0 for wf_ in new)
 
+    def test_conclusion_only_variable_is_reported_and_not_grounded(self):
+        x = Variable("x", "Obj")
+        s, t, u = (Variable(n, "Time") for n in "stu")
+        loose = Rule((Literal(True, "P", (x,), t, u),), Literal(True, "Q", (x,), s, u), label="R1")
+        fact = wf(lit("P", "A", lo=0, hi=3), "0.5")
+        M = TMLN(obj_signature("P", "Q"), Timeline(0, 5), frozenset({fact}), frozenset({wf(loose, "0.9")}))
+        assert M.validate() == [
+            "rule R1: P(x, t, u) => Q(x, s, u): conclusion variables ['s'] do not occur in any premise"
+        ]
+        assert ground(M) == {fact}
+        assert support_weights(M) == {fact.formula: Fraction("0.5")}
+
     def test_chained_rules_weight_through_support(self):
         # A premise only derivable through another instance: its support
         # weight (and so the chained instance's weight) is the chain minimum.
@@ -177,3 +190,120 @@ class TestGround:
         weights = {str(m.formula): m.weight for m in mi}
         assert weights["R1: P(A, 0, 5) => Q(A, 0, 5)"] == Fraction("0.6")
         assert weights["R2: Q(A, 0, 5) => S(A, 0, 5)"] == Fraction("0.6")
+
+
+def obj_signature(*preds):
+    return Signature(
+        sorts=frozenset({"Obj", "Time"}),
+        constants={"A": "Obj", "B": "Obj"},
+        predicates={p: ("Obj",) for p in preds},
+    )
+
+
+def people_kb(n):
+    """N independent people, four facts each, two chained rules."""
+    lines = ["sort Agent", "timeline 0 100"]
+    names = [f"P{i:02d}" for i in range(n)]
+    lines += [f"const {name} : Agent" for name in names]
+    lines += [f"pred {p}(Agent)" for p in ("Person", "Studied", "Worked", "Skilled", "Hired")]
+    for i, name in enumerate(names):
+        for j, (sign, pred) in enumerate((("", "Person"), ("", "Studied"), ("", "Worked"), ("!", "Hired"))):
+            lines.append(f"fact {sign}{pred}({name}, {i}, {i + j + 1}) : 0.{(i + j) % 9 + 1}")
+    lines.append("rule R1 : 0.8 { Person(x, t1, u1) & Studied(x, t2, u2) => Skilled(x, TMIN, TMAX) }")
+    lines.append(
+        "rule R2 : 0.7 { Person(x, t1, u1) & Skilled(x, t2, u2) & Worked(x, t3, u3)"
+        " => Hired(x, TMIN, TMAX) }"
+    )
+    outcome = parse("\n".join(lines) + "\n")
+    assert outcome.ok, [str(d) for d in outcome.diagnostics]
+    return outcome.tmln
+
+
+class TestSupportWeights:
+    def test_every_derivable_literal_matches_oracle(self):
+        rng = random.Random(7)
+        checked = 0
+        while checked < 150:
+            M = random_tmln(rng, max_mi=10)
+            if len(M.facts | M.rules) > 10:
+                continue
+            weights = support_weights(M)
+            assert weights.keys() == closure_literals(tf(M))
+            for target, w in weights.items():
+                assert w == brute_weight(target, M), target
+            checked += 1
+
+    def test_cycle_matches_oracle(self):
+        sig = obj_signature("P", "Q")
+        x = Variable("x", "Obj")
+        t, u = Variable("t", "Time"), Variable("u", "Time")
+        p = Literal(True, "P", (x,), t, u)
+        q = Literal(True, "Q", (x,), t, u)
+        M = TMLN(
+            sig,
+            Timeline(0, 5),
+            frozenset({wf(lit("P", "A", lo=0, hi=3), "0.9"), wf(lit("Q", "B", lo=1, hi=2), "0.6")}),
+            frozenset({wf(Rule((p,), q, label="PQ"), "0.3"), wf(Rule((q,), p, label="QP"), "0.8")}),
+        )
+        weights = support_weights(M)
+        assert len(weights) == 4
+        for target, w in weights.items():
+            assert w == brute_weight(target, M), target
+        assert weights[lit("Q", "A", lo=0, hi=3)] == Fraction("0.3")
+        assert weights[lit("P", "B", lo=1, hi=2)] == Fraction("0.6")
+
+    def test_duplicate_fact_takes_the_larger_weight(self):
+        a = lit("P", "A", lo=0, hi=1)
+        items = [wf(a, "0.3"), wf(a, "0.7")]
+        assert support_weights(items) == {a: Fraction("0.7")}
+        assert weight_of(a, items) == brute_weight(a, items) == Fraction("0.7")
+
+    def test_ground_of_disjoint_union_is_union_of_grounds(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            M1, M2 = random_tmln(rng, max_mi=8), random_tmln(rng, max_mi=8)
+            # Rename every predicate of M2 so the two KBs share no atom.
+            renamed = {name: name + "2" for name in M2.signature.predicates}
+
+            def rename(f):
+                if isinstance(f, Literal):
+                    return Literal(f.positive, renamed[f.predicate], f.args, f.lower, f.upper)
+                return Rule(tuple(rename(p) for p in f.premises), rename(f.conclusion), f.label)
+
+            facts2 = frozenset(WeightedFormula(rename(m.formula), m.weight) for m in M2.facts)
+            rules2 = frozenset(WeightedFormula(rename(m.formula), m.weight) for m in M2.rules)
+            sig = Signature(
+                sorts=M1.signature.sorts | M2.signature.sorts,
+                constants={**M1.signature.constants, **M2.signature.constants},
+                predicates={
+                    **M1.signature.predicates,
+                    **{renamed[k]: v for k, v in M2.signature.predicates.items()},
+                },
+            )
+            N2 = TMLN(sig, M2.timeline, facts2, rules2)
+            union = TMLN(sig, M1.timeline, M1.facts | facts2, M1.rules | rules2)
+            assert ground(union) == ground(M1) | ground(N2)
+
+    def test_grounding_is_one_closure_whatever_the_number_of_people(self, monkeypatch):
+        counts = {"match_premises": 0, "weight_of": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        match = counting("match_premises", kernel.match_premises)
+        monkeypatch.setattr(kernel, "match_premises", match)
+        monkeypatch.setattr(network, "match_premises", match)
+        monkeypatch.setattr(network, "weight_of", counting("weight_of", network.weight_of))
+        calls = []
+        for n in (5, 40):
+            M = people_kb(n)
+            counts.update(match_premises=0, weight_of=0)
+            mi = ground(M)
+            assert len(mi) == 6 * n
+            calls.append(dict(counts))
+        assert calls[0] == calls[1]
+        assert calls[0]["weight_of"] == 0
