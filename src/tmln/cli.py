@@ -216,13 +216,20 @@ def config_record(tps: ParametricSemantics) -> dict:
 
 # --- knowledge-base loading --------------------------------------------------------
 
-def load_kb(path: str) -> TMLN:
+def read_text(path: str) -> str:
+    """The file's UTF-8 text; an unreadable or undecodable file exits 2."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-    outcome = parse(text)
+        reason = exc.strerror or exc
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    print(f"{path}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def load_kb(path: str) -> TMLN:
+    outcome = parse(read_text(path))
     for diag in outcome.diagnostics:
         print(f"{path}:{diag}", file=sys.stderr)
     if not outcome.ok:
@@ -280,13 +287,8 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def read_sweep(path: str) -> list[ParametricSemantics]:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(2) from None
     configs = []
-    for no, raw in enumerate(lines, start=1):
+    for no, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -562,13 +564,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NetworkError, SemanticsError, InferenceError, TemporalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OracleBoundError as exc:
+    except (
+        CliError, NetworkError, SemanticsError, InferenceError, TemporalError, OracleBoundError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

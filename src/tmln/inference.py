@@ -2,14 +2,15 @@
 
 A knowledge base is grounded and every subset of the result is a candidate
 state; inference keeps the inclusion-maximal states of maximal strength under
-a chosen parametric semantics.  The exhaustive search scores every subset;
-the pruned search is a branch-and-bound over the inclusion order that returns
-identical results for the shipped (monotone) components.
+a chosen parametric semantics.  One branch-and-bound over the inclusion
+order serves both the pruned search and the batch search behind ``sweep``;
+it is sound for the shipped (monotone) components only.  The exhaustive
+search, which scores every subset, is kept as the reference it must equal.
 
 Subsets are represented as bitmasks over the canonically ordered members of
 the maximal instantiation; derivability closures are computed on interned
-literal bitsets and memoized, so sweeping many semantics over one knowledge
-base shares all the expensive work.
+literal bitsets and memoized, so the batch search runs every semantics on one
+shared state.
 """
 
 from __future__ import annotations
@@ -140,55 +141,6 @@ def _argmax(scores: list[Score]) -> list[int]:
     return [m for m in near if scores_equal(scores[m], best)]
 
 
-def map_batch(
-    M: Union[TMLN, Instantiation],
-    semantics: Sequence[ParametricSemantics],
-    bound: Optional[int] = None,
-) -> list[MapResult]:
-    """Exhaustive inference for several semantics in one subset sweep.
-
-    Selector and aggregator work is shared between semantics that differ
-    only in their validator, so a full component sweep costs little more
-    than a single search.
-    """
-    state = _state_of(M)
-    limit = exhaustive_bound(bound)
-    if state.n > limit:
-        raise BoundExceededError(
-            f"instantiation has {state.n} formulae, over the exhaustive "
-            f"bound {limit}; use the pruned search"
-        )
-    selectors = list(dict.fromkeys(tps.selector for tps in semantics))
-    pairs = list(
-        dict.fromkeys((selectors.index(tps.selector), tps.aggregator) for tps in semantics)
-    )
-    plans = [
-        (tps.validator.accepting_kind, pairs.index((selectors.index(tps.selector), tps.aggregator)))
-        for tps in semantics
-    ]
-
-    scores_per_tps: list[list[Score]] = [[] for _ in semantics]
-    for mask in range(1 << state.n):
-        slots = [state.slots(sel, mask) for sel in selectors]
-        aggregated = [agg(slots[k]) for k, agg in pairs]
-        for scores, (kind, k) in zip(scores_per_tps, plans):
-            scores.append(aggregated[k] if state.holds(kind, mask) else ZERO)
-
-    return [
-        _result(state, tps, _argmax(scores))
-        for tps, scores in zip(semantics, scores_per_tps)
-    ]
-
-
-def map_exhaustive(
-    M: Union[TMLN, Instantiation],
-    tps: ParametricSemantics,
-    bound: Optional[int] = None,
-) -> MapResult:
-    """Score every subset of the maximal instantiation; keep the best states."""
-    return map_batch(M, [tps], bound)[0]
-
-
 def _check_prunable(tps: ParametricSemantics) -> None:
     if not (
         isinstance(tps.validator, Validator)
@@ -201,7 +153,16 @@ def _check_prunable(tps: ParametricSemantics) -> None:
         )
 
 
-def map_pruned(M: Union[TMLN, Instantiation], tps: ParametricSemantics) -> MapResult:
+def _check_bound(state: WeightedState, bound: Optional[int]) -> None:
+    limit = exhaustive_bound(bound)
+    if state.n > limit:
+        raise BoundExceededError(
+            f"instantiation has {state.n} formulae, over the exhaustive "
+            f"bound {limit}; use the pruned search"
+        )
+
+
+def _branch_and_bound(state: WeightedState, tps: ParametricSemantics) -> MapResult:
     """Branch-and-bound over the inclusion order; equals the exhaustive result.
 
     Sound because, for the shipped components, a validator rejection is
@@ -212,8 +173,6 @@ def map_pruned(M: Union[TMLN, Instantiation], tps: ParametricSemantics) -> MapRe
     subsets tying it; when no subset scores above 0, every subset ties at 0
     and the full instantiation is the single inclusion-maximal optimum.
     """
-    _check_prunable(tps)
-    state = _state_of(M)
     n = state.n
     kind = tps.validator.accepting_kind
     ceilings = [tps.selector.slot_ceiling(w) for w in state.weights]
@@ -228,7 +187,13 @@ def map_pruned(M: Union[TMLN, Instantiation], tps: ParametricSemantics) -> MapRe
     def below_best(score: Score) -> bool:
         return score < best and not scores_equal(score, best)
 
+    def pruned(mask: int, depth: int) -> bool:
+        chosen = [ceilings[i] for i in state.member_indices(mask)]
+        optimistic = tps.aggregator(tuple(chosen + suffix[depth]))
+        return optimistic == 0 or below_best(optimistic)
+
     def search(mask: int, depth: int) -> None:
+        """Visit a node whose bound the caller has checked against ``best``."""
         nonlocal best
         if depth == n:
             score = tps.aggregator(state.slots(tps.selector, mask))
@@ -236,19 +201,57 @@ def map_pruned(M: Union[TMLN, Instantiation], tps: ParametricSemantics) -> MapRe
                 found.append((score, mask))
                 best = max(best, score)
             return
-        chosen = [ceilings[i] for i in state.member_indices(mask)]
-        optimistic = tps.aggregator(tuple(chosen + suffix[depth]))
-        if optimistic == 0 or below_best(optimistic):
-            return
         extended = mask | 1 << depth
         if state.holds(kind, extended):
+            # The same ceilings are chosen or undecided, and no leaf has
+            # raised ``best`` since the check: the bound still holds.
             search(extended, depth + 1)
-        search(mask, depth + 1)
+        if not pruned(mask, depth + 1):
+            search(mask, depth + 1)
 
-    search(0, 0)
+    if not pruned(0, 0):
+        search(0, 0)
     if best == 0:
         return _result(state, tps, [state.full])
     return _result(state, tps, [m for s, m in found if scores_equal(s, best)])
+
+
+def map_batch(
+    M: Union[TMLN, Instantiation],
+    semantics: Sequence[ParametricSemantics],
+    bound: Optional[int] = None,
+) -> list[MapResult]:
+    """Inference for several semantics on one shared state.
+
+    The state is grounded and interned once, so its memoized closures serve
+    every configuration; each configuration runs the branch-and-bound.  The
+    exhaustive bound still applies: it is the sweep's search budget.
+    """
+    for tps in semantics:
+        _check_prunable(tps)
+    state = _state_of(M)
+    _check_bound(state, bound)
+    return [_branch_and_bound(state, tps) for tps in semantics]
+
+
+def map_exhaustive(
+    M: Union[TMLN, Instantiation],
+    tps: ParametricSemantics,
+    bound: Optional[int] = None,
+) -> MapResult:
+    """Score every subset of the maximal instantiation; keep the best states.
+
+    The reference search: the pruned and batch searches must agree with it.
+    """
+    state = _state_of(M)
+    _check_bound(state, bound)
+    return _result(state, tps, _argmax([state.strength(tps, m) for m in range(1 << state.n)]))
+
+
+def map_pruned(M: Union[TMLN, Instantiation], tps: ParametricSemantics) -> MapResult:
+    """The branch-and-bound search on one semantics, without the exhaustive bound."""
+    _check_prunable(tps)
+    return _branch_and_bound(_state_of(M), tps)
 
 
 # --- conclusion queries -------------------------------------------------------

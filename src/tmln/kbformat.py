@@ -510,19 +510,6 @@ def parse(text: str) -> ParseOutcome:
 
 # --- serialization ----------------------------------------------------------------
 
-def _term_text(term: Term) -> str:
-    return str(term)
-
-
-def _literal_text(lit: Literal) -> str:
-    sign = "!" if not lit.positive else ""
-    parts = [_term_text(t) for t in lit.args] + [
-        _term_text(lit.lower),
-        _term_text(lit.upper),
-    ]
-    return f"{sign}{lit.predicate}({', '.join(parts)})"
-
-
 def serialize(M: TMLN) -> str:
     """Canonical document: declarations then facts then rules, each sorted.
 
@@ -540,7 +527,7 @@ def serialize(M: TMLN) -> str:
         lines.append(f"pred {name}({args})")
     for wf in canonical_order(M.facts):
         assert isinstance(wf.formula, Literal)
-        lines.append(f"fact {_literal_text(wf.formula)} : {weight_str(wf.weight)}")
+        lines.append(f"fact {wf.formula} : {weight_str(wf.weight)}")
     rules = sorted(
         M.rules, key=lambda wf: (wf.formula.label or "", formula_key(wf.formula))
     )
@@ -549,8 +536,8 @@ def serialize(M: TMLN) -> str:
         assert isinstance(rule, Rule)
         if not rule.label:
             raise ValueError(f"cannot serialize an unlabeled rule: {rule}")
-        body = " & ".join(_literal_text(p) for p in rule.premises)
-        head = _literal_text(rule.conclusion)
+        body = " & ".join(str(p) for p in rule.premises)
+        head = rule.conclusion
         lines.append(
             f"rule {rule.label} : {weight_str(wf.weight)} {{ {body} => {head} }}"
         )

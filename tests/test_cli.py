@@ -1,11 +1,15 @@
 """Command-line behaviour: exit codes, formats, determinism, golden output."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmln.cli import main
 from tmln.network import ground, weight_str
@@ -42,6 +46,16 @@ class TestValidate:
         with pytest.raises(SystemExit) as exc:
             run_cli("validate", "no-such-file.tmln", capsys=capsys)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["validate", "ground"])
+    def test_non_utf8_kb_exits_two(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.tmln"
+        bad.write_bytes(b"\xff\xfe bad")
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(bad)])
+        _, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert err.count("\n") == 1 and "not UTF-8" in err
 
 
 class TestGround:
@@ -217,6 +231,15 @@ class TestSweep:
         tcon, pinc, pcon, tinc = (float(r["strength"]) for r in rows)
         assert tcon == pinc <= pcon <= tinc
 
+    def test_non_utf8_sweep_file_exits_two(self, tmp_path, capsys):
+        sweep = tmp_path / "bad.sweep"
+        sweep.write_bytes(b"delta=tCon \xff\xfe\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", ORESME, str(sweep)])
+        _, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert err.count("\n") == 1 and "not UTF-8" in err
+
     def test_malformed_sweep_file(self, tmp_path, capsys):
         sweep = tmp_path / "bad.sweep"
         sweep.write_text("delta=tCon nonsense\n")
@@ -260,6 +283,98 @@ class TestOracleCompare:
         empty.write_text("timeline 0 3\n")
         code, out, _ = run_cli("oracle-compare", str(empty), capsys=capsys)
         assert code == 0
+
+
+KB_HEADER = ["sort S", "timeline 0 9", "const A : S", "const B : S", "pred P(S)", "pred Q(S, S)"]
+KB_BODY = [
+    "fact P(A, 0, 5) : 0.5",
+    "fact !P(A, 3, 8) : 0.500000001",
+    "fact P(B, TMIN, TMAX) : 1",
+    "fact Q(A, B, 2, 4) : 0.3",
+    "rule R1 : 0.8 { P(x, t, u) => !P(x, t, u) }",
+    "rule R2 : 0.4 { P(x, t1, u1) & Q(x, y, t2, u2) => P(y, TMIN, TMAX) }",
+]
+KB_BAD = [
+    "timeline 5 2",
+    "fact P(C, 0, 1) : 1.5",
+    "rule R3 : 1 { P(x, t, u) => Q(x, z, t, u) }",
+]
+
+kb_documents = st.one_of(
+    st.binary(max_size=60),
+    st.tuples(
+        st.sampled_from([[], KB_HEADER]),
+        st.one_of(
+            st.lists(st.sampled_from(KB_BODY), max_size=8),
+            st.lists(
+                st.one_of(st.sampled_from(KB_HEADER + KB_BODY + KB_BAD), st.text(max_size=30)),
+                max_size=10,
+            ),
+        ),
+    )
+    .map(lambda parts: "\n".join(parts[0] + parts[1]).encode()),
+)
+sweep_documents = st.lists(
+    st.one_of(
+        st.sampled_from(["delta=tCon sigma=id theta=sum", "delta=pInc sigma=rule theta=psum"]),
+        st.text(max_size=30),
+    ),
+    max_size=4,
+).map(lambda lines: "\n".join(lines).encode())
+OPTIONS = {
+    "--delta": ["tCon", "pCon", "tInc", "pInc", "bogus"],
+    "--sigma": ["id", "rule", "thresh", "thresh:0.5", "thresh:1/3", "thresh:x"],
+    "--theta": ["sum", "psum", "sum_alpha:2", "sum_alpha:0.5", "sum_alpha:1e400", "sum_alpha:"],
+    "--query": ["P(*, *, *)", "!P(A, TMIN, TMAX)", "+Q(*)", "P(", "lower", "P(TMAX, 3)"],
+    "--bound": ["0", "3", "20", "-1", "abc", "99999999999999999999"],
+}
+
+
+def option_value(flag):
+    return st.one_of(st.sampled_from(OPTIONS[flag]), st.text(max_size=12))
+
+
+@st.composite
+def command_lines(draw, kb_path, sweep_path):
+    """A command and its options: map always gets a --delta, as it requires."""
+    command = draw(st.sampled_from(["validate", "ground", "map", "sweep"]))
+    argv = [command, kb_path]
+    if command == "ground" and draw(st.booleans()):
+        argv.append("--json")
+    if command == "map":
+        argv += ["--delta", draw(option_value("--delta"))]
+        for flag in draw(st.lists(st.sampled_from(sorted(OPTIONS)), max_size=3)):
+            argv += [flag, draw(option_value(flag))]
+    if command == "sweep":
+        argv.append(sweep_path)
+        if draw(st.booleans()):
+            argv += ["--query", draw(option_value("--query"))]
+    if command in ("map", "sweep"):
+        flags = ["--json", "--full", "--pruned"] if command == "map" else ["--json", "--full"]
+        argv += draw(st.lists(st.sampled_from(flags), max_size=2))
+    return argv
+
+
+class TestRobustness:
+    """Every input ends in exit code 0, 1 or 2 with no traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kb=st.one_of(st.none(), kb_documents), sweep=sweep_documents, data=st.data())
+    def test_exit_code_is_zero_one_or_two(self, tmp_path_factory, kb, sweep, data):
+        work = tmp_path_factory.mktemp("robust")
+        kb_path = ORESME
+        if kb is not None:
+            kb_path = str(work / "kb.tmln")
+            Path(kb_path).write_bytes(kb)
+        sweep_path = work / "configs.sweep"
+        sweep_path.write_bytes(sweep)
+        argv = data.draw(command_lines(kb_path, str(sweep_path)))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
 
 
 def test_entry_point_runs_in_subprocess():

@@ -24,7 +24,14 @@ from tmln.kernel import Signature
 from tmln.network import TMLN, WeightedFormula
 from tmln.oracle import brute_map
 from tmln.randgen import random_tmln
-from tmln.semantics import Aggregator, ParametricSemantics, Selector, Validator, shipped_combinations
+from tmln.semantics import (
+    Aggregator,
+    ParametricSemantics,
+    Selector,
+    Validator,
+    scores_equal,
+    shipped_combinations,
+)
 from tmln.temporal import Relation, Timeline
 
 F = Fraction
@@ -152,12 +159,27 @@ class TestMapPruned:
                 map_exhaustive(M, config).instantiations
             )
 
-    def test_custom_component_rejected(self, oresme):
+    def test_batch_equals_exhaustive_on_every_config(self):
+        rng = random.Random(23)
+        combos = shipped_combinations()
+        for _ in range(10):
+            M = random_tmln(rng, max_mi=10)
+            for config, batch in zip(combos, map_batch(M, combos)):
+                exhaustive = map_exhaustive(M, config)
+                assert set(batch.instantiations) == set(exhaustive.instantiations)
+                assert scores_equal(batch.strength, exhaustive.strength)
+
+    @pytest.mark.parametrize(
+        "search",
+        [map_pruned, lambda M, config: map_batch(M, [config])],
+        ids=["map_pruned", "map_batch"],
+    )
+    def test_custom_component_rejected(self, oresme, search):
         bad = ParametricSemantics(
             Validator(Relation.TCON), Selector("id"), lambda ws: float(len(ws))
         )
         with pytest.raises(InferenceError, match="certificate"):
-            map_pruned(oresme, bad)
+            search(oresme, bad)
 
 
 class TestConclusions:
