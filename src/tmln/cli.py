@@ -527,7 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", help="conclusion pattern, e.g. 'PeasantFamily(*,*,*)'")
     p.add_argument("--full", action="store_true", help="show zero-contribution formulae")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--pruned", action="store_true", help="branch-and-bound search")
+    p.add_argument(
+        "--pruned", action="store_true",
+        help="branch-and-bound search with an incrementally carried bound; no subset bound",
+    )
     p.add_argument("--bound", help="exhaustive subset bound override")
     p.set_defaults(func=cmd_map)
 

@@ -33,16 +33,7 @@ from .network import (
     ground,
     support_weights,
 )
-from .semantics import (
-    Aggregator,
-    ParametricSemantics,
-    SCORE_TOLERANCE,
-    Score,
-    Selector,
-    Validator,
-    WeightedState,
-    scores_equal,
-)
+from .semantics import UNSHIPPED, ParametricSemantics, Ranking, Score, WeightedState
 
 DEFAULT_EXHAUSTIVE_BOUND = 20
 BOUND_ENV_VAR = "TMLN_EXHAUSTIVE_BOUND"
@@ -129,28 +120,9 @@ def _state_of(M: Union[TMLN, Instantiation]) -> WeightedState:
     return WeightedState(canonical_order(members))
 
 
-def _argmax(scores: list[Score]) -> list[int]:
-    """Indices of the maximal scores, tied by :func:`scores_equal`.
-
-    Only scores whose float is near the float maximum are compared exactly.
-    """
-    floats = [float(s) for s in scores]
-    top = max(floats) - SCORE_TOLERANCE
-    near = [m for m, f in enumerate(floats) if f >= top]
-    best = max(scores[m] for m in near)
-    return [m for m in near if scores_equal(scores[m], best)]
-
-
-def _check_prunable(tps: ParametricSemantics) -> None:
-    if not (
-        isinstance(tps.validator, Validator)
-        and isinstance(tps.selector, Selector)
-        and isinstance(tps.aggregator, Aggregator)
-    ):
-        raise InferenceError(
-            "pruned search needs the shipped component families; custom "
-            "components carry no monotonicity certificate"
-        )
+def _check_shipped(tps: ParametricSemantics) -> None:
+    if not tps.shipped:
+        raise InferenceError(f"the search needs the shipped component families; {UNSHIPPED}")
 
 
 def _check_bound(state: WeightedState, bound: Optional[int]) -> None:
@@ -168,52 +140,55 @@ def _branch_and_bound(state: WeightedState, tps: ParametricSemantics) -> MapResu
     Sound because, for the shipped components, a validator rejection is
     persistent under supersets (closures only grow), so a rejected subset
     is never extended, and the aggregator is monotone and symmetric, so the
-    score of any extension is bounded by aggregating every remaining weight
-    at its selector ceiling.  One pass keeps the best positive score and the
-    subsets tying it; when no subset scores above 0, every subset ties at 0
-    and the full instantiation is the single inclusion-maximal optimum.
+    key of any extension is bounded by taking every undecided member at its
+    selector ceiling.  The search carries the key of the decided members
+    down the recursion, and the fold of the undecided ceilings is
+    precomputed per depth, so a node's bound is one ``combine`` and one
+    comparison.  Under ``id`` and ``thresh`` every slot is at its ceiling
+    and a leaf's key is the carried key; under ``rule`` the leaf's slots are
+    recomputed.  One pass keeps the best positive key and the subsets tying
+    it; when no subset scores above 0, every subset ties at 0 and the full
+    instantiation is the single inclusion-maximal optimum.
     """
     n = state.n
     kind = tps.validator.accepting_kind
-    ceilings = [tps.selector.slot_ceiling(w) for w in state.weights]
-    # suffix[d] = ceilings of the formulae still undecided at depth d
-    suffix: list[list[Weight]] = [[] for _ in range(n + 1)]
+    rank = Ranking(state, tps)
+    terms, zero, combine, empty = rank.terms, rank.zero, rank.combine, rank.empty
+    leaf_key = rank.key if tps.selector.kind == "rule" else None
+    # suffix[d] folds the ceilings of the members still undecided at depth d.
+    suffix = [rank.identity] * (n + 1)
     for d in range(n - 1, -1, -1):
-        suffix[d] = suffix[d + 1] + [ceilings[d]]
+        suffix[d] = combine(terms[d], suffix[d + 1])
 
-    best: Score = ZERO
+    best = floor = empty
     found: list[tuple[Score, int]] = []
 
-    def below_best(score: Score) -> bool:
-        return score < best and not scores_equal(score, best)
-
-    def pruned(mask: int, depth: int) -> bool:
-        chosen = [ceilings[i] for i in state.member_indices(mask)]
-        optimistic = tps.aggregator(tuple(chosen + suffix[depth]))
-        return optimistic == 0 or below_best(optimistic)
-
-    def search(mask: int, depth: int) -> None:
-        """Visit a node whose bound the caller has checked against ``best``."""
-        nonlocal best
+    def search(mask: int, depth: int, key: Score) -> None:
+        """Visit a node whose bound the caller has checked against ``floor``."""
+        nonlocal best, floor
         if depth == n:
-            score = tps.aggregator(state.slots(tps.selector, mask))
-            if score > 0 and not below_best(score):
-                found.append((score, mask))
-                best = max(best, score)
+            if leaf_key is not None:
+                key = leaf_key(mask)
+            if key > empty and key >= floor:
+                found.append((key, mask))
+                if key > best:
+                    best, floor = key, rank.floor(key)
             return
         extended = mask | 1 << depth
         if state.holds(kind, extended):
             # The same ceilings are chosen or undecided, and no leaf has
-            # raised ``best`` since the check: the bound still holds.
-            search(extended, depth + 1)
-        if not pruned(mask, depth + 1):
-            search(mask, depth + 1)
+            # raised ``floor`` since the check: the bound still holds.
+            search(extended, depth + 1, combine(key, terms[depth]))
+        key = combine(key, zero)
+        bound = combine(key, suffix[depth + 1])
+        if bound > empty and bound >= floor:
+            search(mask, depth + 1, key)
 
-    if not pruned(0, 0):
-        search(0, 0)
-    if best == 0:
+    if combine(rank.start, suffix[0]) > empty:
+        search(0, 0, rank.start)
+    if best == empty:
         return _result(state, tps, [state.full])
-    return _result(state, tps, [m for s, m in found if scores_equal(s, best)])
+    return _result(state, tps, [m for k, m in found if k >= floor])
 
 
 def map_batch(
@@ -228,7 +203,7 @@ def map_batch(
     exhaustive bound still applies: it is the sweep's search budget.
     """
     for tps in semantics:
-        _check_prunable(tps)
+        _check_shipped(tps)
     state = _state_of(M)
     _check_bound(state, bound)
     return [_branch_and_bound(state, tps) for tps in semantics]
@@ -243,14 +218,18 @@ def map_exhaustive(
 
     The reference search: the pruned and batch searches must agree with it.
     """
+    _check_shipped(tps)
     state = _state_of(M)
     _check_bound(state, bound)
-    return _result(state, tps, _argmax([state.strength(tps, m) for m in range(1 << state.n)]))
+    rank = Ranking(state, tps)
+    keys = [rank.key(m) for m in range(1 << state.n)]
+    floor = rank.floor(max(keys))
+    return _result(state, tps, [m for m, k in enumerate(keys) if k >= floor])
 
 
 def map_pruned(M: Union[TMLN, Instantiation], tps: ParametricSemantics) -> MapResult:
     """The branch-and-bound search on one semantics, without the exhaustive bound."""
-    _check_prunable(tps)
+    _check_shipped(tps)
     return _branch_and_bound(_state_of(M), tps)
 
 

@@ -21,7 +21,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .kernel import (
     Constant,
@@ -30,11 +30,9 @@ from .kernel import (
     Rule,
     Signature,
     TimePoint,
-    _match_literal,
     closure_literals,
     match_premises,
     substitute,
-    substitute_literal,
     validate_signature,
 )
 from .temporal import Timeline
@@ -218,72 +216,6 @@ def _members(items: Union[TMLN, Iterable[WeightedFormula]]) -> tuple[WeightedFor
     if isinstance(items, TMLN):
         return tuple(items.facts | items.rules)
     return tuple(items)
-
-
-def _derivations(
-    target: Literal,
-    items: Sequence[WeightedFormula],
-    universe: frozenset[Literal],
-    goals: frozenset[Literal],
-) -> list[frozenset[WeightedFormula]]:
-    """All support sets for ``target``: derivation trees over ``items``.
-
-    ``goals`` guards against revisiting a literal on the same derivation
-    path; such trees are redundant for minimal-support purposes.
-    """
-    if target in goals:
-        return []
-    goals = goals | {target}
-    supports: list[frozenset[WeightedFormula]] = []
-    for wf in items:
-        f = wf.formula
-        if isinstance(f, Literal):
-            if f == target:
-                supports.append(frozenset({wf}))
-            continue
-        head_binding: dict = {}
-        if not _match_literal(f.conclusion, target, head_binding):
-            continue
-        for binding in match_premises(f.premises, universe, head_binding):
-            premise_choices: list[list[frozenset[WeightedFormula]]] = []
-            feasible = True
-            for p in f.premises:
-                ground_p = substitute_literal(p, binding)
-                choice = _derivations(ground_p, items, universe, goals)
-                if not choice:
-                    feasible = False
-                    break
-                premise_choices.append(choice)
-            if not feasible:
-                continue
-            combos: list[frozenset[WeightedFormula]] = [frozenset({wf})]
-            for choice in premise_choices:
-                combos = [c | extra for c in combos for extra in choice]
-            supports.extend(combos)
-    return supports
-
-
-def minimal_supports(
-    target: Literal, items: Union[TMLN, Iterable[WeightedFormula]]
-) -> list[frozenset[WeightedFormula]]:
-    """Inclusion-minimal subsets whose formulae entail ``target``.
-
-    Enumerates derivation trees, so it is exponential in the depth of the
-    derivations; support weights come from :func:`support_weights` instead.
-    """
-    seq = canonical_order(_members(items))
-    universe = closure_literals(tf(seq))
-    if target not in universe:
-        return []
-    all_supports = _derivations(target, seq, universe, frozenset())
-    minimal = [
-        s for s in all_supports if not any(o < s for o in all_supports)
-    ]
-    out: list[frozenset[WeightedFormula]] = []
-    for s in minimal:
-        if s not in out:
-            out.append(s)
-    return out
 
 
 def _fixpoint(

@@ -124,10 +124,11 @@ def brute_entails(formulae: Iterable[Formula], target: Literal, bound: int = 12)
 
 # --- support weight --------------------------------------------------------------
 
-def brute_weight(
+def minimal_supports(
     target: Literal, items: Union[TMLN, Iterable[WeightedFormula]], bound: int = 10
-) -> Weight:
-    """All-subsets support weight: max over minimal entailing subsets of min weight."""
+) -> list[frozenset[WeightedFormula]]:
+    """Inclusion-minimal subsets of the items whose formulae entail ``target``,
+    from every entailing subset."""
     if isinstance(items, TMLN):
         members: list[WeightedFormula] = sorted(
             items.facts | items.rules, key=str
@@ -141,7 +142,14 @@ def brute_weight(
         for combo in itertools.combinations(members, r):
             if brute_entails([wf.formula for wf in combo], target, bound):
                 entailing.append(frozenset(combo))
-    minimal = [s for s in entailing if not any(o < s for o in entailing)]
+    return [s for s in entailing if not any(o < s for o in entailing)]
+
+
+def brute_weight(
+    target: Literal, items: Union[TMLN, Iterable[WeightedFormula]], bound: int = 10
+) -> Weight:
+    """All-subsets support weight: max over minimal entailing subsets of min weight."""
+    minimal = minimal_supports(target, items, bound)
     if not minimal:
         raise NotDerivableError(f"{target} is not derivable")
     return max(min(wf.weight for wf in s) for s in minimal)
@@ -211,6 +219,18 @@ def brute_strength(tps: ParametricSemantics, members: Sequence[WeightedFormula])
     return _aggregated(tps.aggregator, _selected(tps.selector, members))
 
 
+def _rank(tps: ParametricSemantics, members: Sequence[WeightedFormula]) -> Score:
+    """What ``brute_map`` maximizes: the strength, except under ``sum_alpha``
+    with an exact integer exponent a, where it is the exact ``sum w_i^a``, an
+    increasing function of the strength."""
+    power = tps.aggregator.exact_power
+    if tps.aggregator.kind != "sum_alpha" or power is None:
+        return brute_strength(tps, members)
+    if brute_delta(tps.validator.relation.value, members) == 0:
+        return Fraction(0)
+    return sum((w**power for w in _selected(tps.selector, members)), Fraction(0))
+
+
 def _optimal(scored: list[tuple[Score, tuple[WeightedFormula, ...]]], tolerance: float):
     best = max(s for s, _ in scored)
     if isinstance(best, Fraction):
@@ -229,17 +249,20 @@ def brute_map(
 ) -> tuple[frozenset[Instantiation], Score]:
     """Literal transcription of the inference definition, with no pruning.
 
-    Scores are exact fractions, compared exactly, except under ``sum_alpha``,
-    where floats tie within ``tolerance``.
+    Scores are exact fractions, compared exactly, except under ``sum_alpha``:
+    with an integer exponent a the states are ranked by ``sum w_i^a`` in exact
+    fractions; with any other a float strengths tie within ``tolerance``.
     """
     members = list(canonical_order(ground(M) if isinstance(M, TMLN) else M))
     if len(members) > bound:
         raise OracleBoundError(f"{len(members)} formulae exceed the oracle bound {bound}")
-    scored = []
+    ranked = []
     for r in range(len(members) + 1):
         for combo in itertools.combinations(members, r):
-            scored.append((brute_strength(tps, combo), combo))
-    return _optimal(scored, tolerance)
+            ranked.append((_rank(tps, combo), combo))
+    maximal, top = _optimal(ranked, tolerance)
+    best = next(brute_strength(tps, c) for rank, c in ranked if rank == top)
+    return maximal, best
 
 
 def brute_classical_optimum(

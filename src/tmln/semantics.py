@@ -20,7 +20,9 @@ of consistent facts) provable for the assembled semantics.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -38,6 +40,10 @@ from .temporal import GroundState, Relation, RelationKind, Timeline, relation_ho
 Score = Union[Fraction, float]
 
 SCORE_TOLERANCE = 1e-9
+
+#: Largest integer ``sum_alpha`` exponent ranked by exact integer powers;
+#: beyond it a scaled weight's power would run to thousands of digits.
+MAX_EXACT_POWER = 64
 
 
 class SemanticsError(Exception):
@@ -142,29 +148,100 @@ class WeightedState(GroundState):
     def member_indices(self, mask: int) -> list[int]:
         return [i for i in range(self.n) if mask >> i & 1]
 
-    def slots(self, selector: Selector, mask: int) -> tuple[Weight, ...]:
-        """Selector output for the subset, slot for slot in member order.
+    def kept(self, selector: Selector, mask: int) -> int:
+        """The members of the subset whose slot is at its selector ceiling.
 
-        Under ``rule`` a rule keeps its weight only if all its premises are
-        deducible from the other members of the subset.
+        Every other member of the subset has slot 0: under ``rule``, a rule
+        with a premise that is not deducible from the other members.
         """
-        indices = self.member_indices(mask)
-        if selector.kind == "id":
-            return tuple(self.weights[i] for i in indices)
-        if selector.kind == "thresh":
-            return tuple(max(self.weights[i] - selector.alpha, ZERO) for i in indices)
-        out = []
-        for i in indices:
-            if self.prem_mask[i] & ~self.closure_bits(mask & ~(1 << i)):
-                out.append(ZERO)
-            else:
-                out.append(self.weights[i])
-        return tuple(out)
+        if selector.kind == "rule":
+            for i in self.rule_indices:
+                if mask >> i & 1 and self.prem_mask[i] & ~self.closure_bits(mask & ~(1 << i)):
+                    mask &= ~(1 << i)
+        return mask
+
+    def slots(self, selector: Selector, mask: int) -> tuple[Weight, ...]:
+        """Selector output for the subset, slot for slot in member order."""
+        kept = self.kept(selector, mask)
+        return tuple(
+            selector.slot_ceiling(self.weights[i]) if kept >> i & 1 else ZERO
+            for i in self.member_indices(mask)
+        )
 
     def strength(self, tps: "ParametricSemantics", mask: int) -> Score:
         if not self.holds(tps.validator.accepting_kind, mask):
             return ZERO
         return tps.aggregator(self.slots(tps.selector, mask))
+
+
+class Ranking:
+    """Keys ranking the subsets of one state under one semantics.
+
+    Every slot is 0 or its selector ceiling, so a key folds one term per
+    member over all n members: the term of the ceiling for a member whose
+    slot is at its ceiling, the term of 0 for every other member, in the
+    subset or not.  Ceilings are scaled to integers W by D, the lcm of their
+    denominators, and the terms are
+
+    * ``sum``, and ``sum_alpha`` with an integer exponent a: Wᵃ, added;
+    * ``psum``: D − W, multiplied, starting from −1, so the key is −∏(D − W);
+    * ``sum_alpha`` with any other a: the float (W / D)ᵃ, added.
+
+    A key is a strictly increasing function of the subset's strength, and a
+    subset the validator rejects gets the key of the empty subset, ``empty``.
+    Integer keys rank and tie exactly; float keys tie when their strengths
+    are within ``SCORE_TOLERANCE``.  ``combine`` folds a term, or a fold of
+    terms, into a key, so a key can be carried down a search member by member.
+    """
+
+    def __init__(self, state: WeightedState, tps: "ParametricSemantics"):
+        self.state = state
+        self.tps = tps
+        aggregator = tps.aggregator
+        ceilings = [tps.selector.slot_ceiling(w) for w in state.weights]
+        scale = math.lcm(*(c.denominator for c in ceilings))
+        scaled = [c.numerator * (scale // c.denominator) for c in ceilings]
+        power = aggregator.exact_power
+        self.exact = aggregator.kind == "psum" or power is not None
+        if aggregator.kind == "psum":
+            self.start, self.combine, self.identity = -1, operator.mul, 1
+            self.terms = [scale - w for w in scaled]
+            self.zero = scale
+        elif self.exact:
+            self.start, self.combine, self.identity = 0, operator.add, 0
+            self.terms = [w**power for w in scaled]
+            self.zero = 0
+        else:
+            self.start, self.combine, self.identity = 0.0, operator.add, 0.0
+            self.terms = [(w / scale) ** aggregator.alpha for w in scaled]
+            self.zero = 0.0
+        self.empty = self.fold(0)
+
+    def fold(self, kept: int) -> Score:
+        """The key of a subset whose slots at their ceiling are ``kept``."""
+        zero = self.zero
+        return functools.reduce(
+            self.combine,
+            (t if kept >> i & 1 else zero for i, t in enumerate(self.terms)),
+            self.start,
+        )
+
+    def key(self, mask: int) -> Score:
+        state, tps = self.state, self.tps
+        if not state.holds(tps.validator.accepting_kind, mask):
+            return self.empty
+        return self.fold(state.kept(tps.selector, mask))
+
+    def floor(self, best: Score) -> Score:
+        """The least key tying ``best``: every key at or above it ties or wins."""
+        if self.exact:
+            return best
+        alpha = self.tps.aggregator.alpha
+        score = best ** (1.0 / alpha) - SCORE_TOLERANCE
+        if score <= 0:
+            return 0.0
+        # A positive strength must not tie with 0 when its power underflows.
+        return max(score**alpha, math.ulp(0.0))
 
 
 def select(sigma: Selector, instantiation: Iterable[WeightedFormula]) -> tuple[Weight, ...]:
@@ -194,6 +271,19 @@ class Aggregator:
             raise SemanticsError(f"aggregator exponent {self.alpha} is not finite")
         if self.kind == "sum_alpha" and self.alpha < 1:
             raise SemanticsError(f"aggregator exponent {self.alpha} below 1")
+
+    @property
+    def exact_power(self) -> Optional[int]:
+        """The exponent a when ``sum w_i^a`` ranks scores exactly in integers.
+
+        1 for ``sum``; the exponent of ``sum_alpha`` when it is an integer up
+        to ``MAX_EXACT_POWER``; ``None`` for ``psum`` and other exponents.
+        """
+        if self.kind == "sum":
+            return 1
+        if self.kind == "sum_alpha" and float(self.alpha).is_integer() and self.alpha <= MAX_EXACT_POWER:
+            return int(self.alpha)
+        return None
 
     def __call__(self, weights: Sequence[Weight]) -> Score:
         if not weights:
@@ -230,6 +320,9 @@ def aggregate(theta: Aggregator, weights: Sequence[Weight]) -> Score:
 
 # --- assembled semantics -----------------------------------------------------
 
+UNSHIPPED = "custom components carry no monotonicity certificate"
+
+
 @dataclass(frozen=True)
 class ParametricSemantics:
     """A validator, selector and aggregator scoring states multiplicatively."""
@@ -238,7 +331,22 @@ class ParametricSemantics:
     selector: Selector
     aggregator: Aggregator
 
+    @property
+    def shipped(self) -> bool:
+        """Whether all three components are the shipped families.
+
+        States are scored and searched only under shipped components: a
+        custom component carries no monotonicity certificate.
+        """
+        return (
+            isinstance(self.validator, Validator)
+            and isinstance(self.selector, Selector)
+            and isinstance(self.aggregator, Aggregator)
+        )
+
     def strength(self, instantiation: Iterable[WeightedFormula]) -> Score:
+        if not self.shipped:
+            raise SemanticsError(f"strength needs the shipped component families; {UNSHIPPED}")
         state = WeightedState(canonical_order(instantiation))
         return state.strength(self, state.full)
 

@@ -155,13 +155,21 @@ class TestMap:
 
         kb = tmp_path / "tie.tmln"
         kb.write_text(TIE_KB)
-        for extra in ([], ["--pruned"], ["--theta", "psum"], ["--theta", "psum", "--pruned"]):
-            code, out, _ = run_cli("map", str(kb), "--delta", "tCon", *extra, capsys=capsys)
-            assert code == 0
-            assert "strength: 0.500000001\n" in out, extra
-            assert "map 2:" not in out and "!P(A, 3, 8) : 0.500000001" in out, extra
-        code, out, _ = run_cli("oracle-compare", str(kb), capsys=capsys)
-        assert code == 0 and "map: match" in out
+        for theta in ("sum", "psum", "sum_alpha:2"):
+            for extra in ([], ["--pruned"]):
+                code, out, _ = run_cli(
+                    "map", str(kb), "--delta", "tCon", "--theta", theta, *extra, capsys=capsys
+                )
+                assert code == 0
+                assert "strength: 0.500000001\n" in out, (theta, extra)
+                assert "map 2:" not in out and "!P(A, 3, 8) : 0.500000001" in out, (theta, extra)
+            code, out, _ = run_cli("oracle-compare", str(kb), "--theta", theta, capsys=capsys)
+            assert code == 0 and "map: match" in out, theta
+        sweep = tmp_path / "tie.sweep"
+        sweep.write_text("delta=tCon sigma=id theta=sum_alpha:2\n")
+        code, out, _ = run_cli("sweep", str(kb), str(sweep), capsys=capsys)
+        assert code == 0
+        assert "strength: 0.500000001\nmap 1: {!P(A, 3, 8)}\n\n" in out and "map 2:" not in out
 
     @pytest.mark.parametrize("bound", ["abc", "-1", "2.5"])
     def test_bad_bound_flag_exits_two(self, bound, capsys):

@@ -20,8 +20,9 @@ from tmln.inference import (
     map_pruned,
     parse_query,
 )
-from tmln.kernel import Signature
-from tmln.network import TMLN, WeightedFormula
+from tmln.kbformat import parse
+from tmln.kernel import Constant, Literal, Signature, TimePoint
+from tmln.network import TMLN, WeightedFormula, ground, weight_str
 from tmln.oracle import brute_map
 from tmln.randgen import random_tmln
 from tmln.semantics import (
@@ -32,7 +33,7 @@ from tmln.semantics import (
     scores_equal,
     shipped_combinations,
 )
-from tmln.temporal import Relation, Timeline
+from tmln.temporal import GroundState, Relation, Timeline
 
 F = Fraction
 
@@ -171,15 +172,119 @@ class TestMapPruned:
 
     @pytest.mark.parametrize(
         "search",
-        [map_pruned, lambda M, config: map_batch(M, [config])],
-        ids=["map_pruned", "map_batch"],
+        [map_pruned, lambda M, config: map_batch(M, [config]), map_exhaustive],
+        ids=["map_pruned", "map_batch", "map_exhaustive"],
     )
     def test_custom_component_rejected(self, oresme, search):
-        bad = ParametricSemantics(
-            Validator(Relation.TCON), Selector("id"), lambda ws: float(len(ws))
-        )
-        with pytest.raises(InferenceError, match="certificate"):
-            search(oresme, bad)
+        validator, selector, aggregator = Validator(Relation.TCON), Selector("id"), Aggregator("sum")
+        for bad in (
+            ParametricSemantics(validator, selector, lambda ws: float(len(ws))),
+            ParametricSemantics(lambda items: 1, selector, aggregator),
+            ParametricSemantics(validator, lambda items: (), aggregator),
+        ):
+            with pytest.raises(InferenceError, match="certificate"):
+                search(oresme, bad)
+
+    def test_aggregator_is_not_called_per_node(self, monkeypatch):
+        """The bound is carried down the search: ``Aggregator.__call__`` only
+        reports the strength of the result, however many nodes are visited."""
+        counts = {"aggregate": 0, "nodes": 0}
+        aggregate, holds = Aggregator.__call__, GroundState.holds
+
+        def counted_aggregate(self, weights):
+            counts["aggregate"] += 1
+            return aggregate(self, weights)
+
+        def counted_holds(self, kind, mask):
+            counts["nodes"] += 1
+            return holds(self, kind, mask)
+
+        monkeypatch.setattr(Aggregator, "__call__", counted_aggregate)
+        monkeypatch.setattr(GroundState, "holds", counted_holds)
+        visited = set()
+        for size, search in ((4, map_pruned), (14, map_pruned), (8, map_exhaustive)):
+            M = parse(chain_kb(size)).tmln
+            for config in shipped_combinations():
+                counts.update(aggregate=0, nodes=0)
+                search(M, config)
+                assert counts["aggregate"] <= 1, (size, config, search)
+                visited.add(counts["nodes"])
+        assert min(visited) <= 10 and max(visited) >= 200
+
+    def test_non_decimal_weights_match_the_oracle(self):
+        """Weights and the threshold with denominators 3 and 7: every search
+        equals brute force under all 36 shipped combinations."""
+        rng = random.Random(37)
+        combos = shipped_combinations(thresh_alpha=F(2, 7))
+        # Ties across denominators: 1/3 + 2/3 against 1 under sum, and
+        # psum(1/2, 1/3) against 2/3; each negative fact clashes with both
+        # positive facts on its constant.
+        tied = []
+        for name, low, high, alone in (("A", F(1, 3), F(2, 3), F(1)), ("B", F(1, 2), F(1, 3), F(2, 3))):
+            a = Constant(name, "Obj")
+            tied += [
+                WeightedFormula(Literal(True, "P", (a,), TimePoint(0), TimePoint(3)), low),
+                WeightedFormula(Literal(True, "P", (a,), TimePoint(6), TimePoint(9)), high),
+                WeightedFormula(Literal(False, "P", (a,), TimePoint(2), TimePoint(7)), alone),
+            ]
+        randomized = [
+            non_decimal(rng, [wf.formula for wf in ground(random_tmln(rng, max_mi=8))])
+            for _ in range(8)
+        ]
+        for M in [frozenset(tied[:3]), frozenset(tied[3:]), frozenset(tied)] + randomized:
+            for config, batch in zip(combos, map_batch(M, combos)):
+                states, best = brute_map(M, config)
+                for result in (batch, map_pruned(M, config), map_exhaustive(M, config)):
+                    assert set(result.instantiations) == set(states), config
+                    assert scores_equal(result.strength, best), config
+
+    def test_psum_on_twelve_non_decimal_members(self):
+        rng = random.Random(41)
+        members = []
+        for k in range(6):
+            a = Constant(f"A{k}", "Obj")
+            members += [
+                Literal(True, "P", (a,), TimePoint(0), TimePoint(5)),
+                Literal(False, "P", (a,), TimePoint(rng.randint(3, 6)), TimePoint(8)),
+            ]
+        M = non_decimal(rng, members)
+        for config in shipped_combinations(thresh_alpha=F(1, 3)):
+            if config.aggregator.kind != "psum" or config.validator.relation not in (
+                Relation.TCON, Relation.TINC
+            ):
+                continue
+            states, best = brute_map(M, config)
+            for result in (map_pruned(M, config), map_exhaustive(M, config)):
+                assert set(result.instantiations) == set(states), config
+                assert result.strength == best, config
+
+    def test_non_integer_exponent_matches_the_oracle(self):
+        """``sum_alpha`` with a non-integer or a huge exponent ranks by floats."""
+        rng = random.Random(43)
+        for _ in range(6):
+            M = random_tmln(rng, max_mi=9)
+            for alpha in (1.5, 2.5, 65.0, 1e300):
+                for config in shipped_combinations(sum_alpha=alpha)[1::3]:
+                    states, best = brute_map(M, config)
+                    (batch,) = map_batch(M, [config])
+                    for result in (batch, map_pruned(M, config), map_exhaustive(M, config)):
+                        assert set(result.instantiations) == set(states), config
+                        assert scores_equal(result.strength, best), config
+
+
+def chain_kb(size):
+    """Facts on one atom whose neighbours overlap, alternating in sign."""
+    lines = ["sort S", "timeline 0 40", "const A : S", "pred P(S)"]
+    for k in range(size):
+        sign = "" if k % 2 == 0 else "!"
+        lines.append(f"fact {sign}P(A, {2 * k}, {2 * k + 3}) : 0.{(7 * k) % 9 + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def non_decimal(rng, formulae):
+    """The formulae with weights drawn from thirds and sevenths."""
+    pool = [F(0), F(1, 3), F(2, 3), F(1, 7), F(2, 7), F(3, 7), F(1)]
+    return frozenset(WeightedFormula(f, rng.choice(pool)) for f in formulae)
 
 
 class TestConclusions:
@@ -230,19 +335,22 @@ TIE_KB = (
 
 
 class TestExactTies:
-    @pytest.mark.parametrize("theta", ["sum", "psum"])
+    @pytest.mark.parametrize("theta", ["sum", "psum", "sum_alpha"])
     def test_ninth_decimal_breaks_the_tie(self, theta):
-        from tmln.kbformat import parse
-
         M = parse(TIE_KB).tmln
         config = tps("tCon", theta=theta)
         (heavier,) = (wf for wf in M.facts if not wf.formula.positive)
-        for result in (map_exhaustive(M, config), map_pruned(M, config)):
+        # sum_alpha reports a float strength; its states are ranked exactly.
+        exact = theta != "sum_alpha"
+        (batch,) = map_batch(M, [config])
+        for result in (map_exhaustive(M, config), map_pruned(M, config), batch):
             assert result.instantiations == (frozenset({heavier}),)
-            assert result.strength == F("0.500000001")
+            assert weight_str(result.strength) == "0.500000001"
+            assert not exact or result.strength == F("0.500000001")
         states, best = brute_map(M, config)
         assert states == frozenset({frozenset({heavier})})
-        assert best == F("0.500000001")
+        assert weight_str(best) == "0.500000001"
+        assert not exact or best == F("0.500000001")
 
 
 class TestAgainstOracle:

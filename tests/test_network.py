@@ -14,7 +14,6 @@ from tmln.network import (
     WeightedFormula,
     as_weight,
     ground,
-    minimal_supports,
     support_weights,
     tf,
     weight_of,
@@ -83,12 +82,6 @@ class TestWeightOf:
     def test_underivable_target_is_an_error(self, names):
         with pytest.raises(NotDerivableError):
             weight_of(lit("Person", "NO", lo=0, hi=0), [names["F4"]])
-
-    def test_minimal_supports_are_minimal(self, names):
-        items = [names["F1"], names["F3"], names["F4"], names["GR11"]]
-        target = names["GR11"].formula.conclusion
-        supports = minimal_supports(target, items)
-        assert supports == [frozenset(items)]
 
     def test_matches_oracle_on_random_kbs(self):
         rng = random.Random(99)

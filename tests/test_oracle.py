@@ -14,6 +14,7 @@ from tmln.oracle import (
     brute_map,
     brute_weight,
     digest,
+    minimal_supports,
 )
 from tmln.inference import map_exhaustive
 from tmln.randgen import random_formula_set, random_tmln
@@ -59,6 +60,12 @@ class TestBruteWeight:
     def test_bound(self, oresme):
         with pytest.raises(OracleBoundError):
             brute_weight(next(iter(oresme.facts)).formula, oresme, bound=3)
+
+    def test_minimal_supports_are_minimal(self, names):
+        items = [names["F1"], names["F3"], names["F4"], names["GR11"]]
+        target = names["GR11"].formula.conclusion
+        supports = minimal_supports(target, items)
+        assert supports == [frozenset(items)]
 
 
 class TestBruteMap:

@@ -161,6 +161,16 @@ class TestStrength:
         assert strength(rejecting, state) == 0
         assert strength(accepting, state) == F("0.9")
 
+    def test_custom_components_are_rejected(self, names):
+        validator, selector, aggregator = Validator(Relation.TCON), Selector("id"), Aggregator("sum")
+        for bad in (
+            ParametricSemantics(lambda items: 1, selector, aggregator),
+            ParametricSemantics(validator, lambda items: (), aggregator),
+            ParametricSemantics(validator, selector, lambda ws: 0),
+        ):
+            with pytest.raises(SemanticsError, match="certificate"):
+                strength(bad, [names["F4"]])
+
     def test_strict_validator_never_beats_lenient_on_fixed_state(self):
         rng = random.Random(5)
         for _ in range(200):
