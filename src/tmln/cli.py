@@ -389,44 +389,37 @@ def _run_mutant(args: argparse.Namespace) -> int:
     sigma = Selector("id")
     theta = Aggregator("sum")
     validator = Validator(Relation.TINC)
-
-    broken_sigma = sigma
-    broken_theta = theta
-    broken_validator = validator
-    if condition.startswith("theta"):
-        base = theta
-        shift = {
-            "theta-a": lambda ws: Fraction(1, 10) if not ws else base(ws),
-            "theta-b": lambda ws: base(ws) - 1 if len(ws) == 1 else base(ws),
-            "theta-c": lambda ws: base(ws) + (float(ws[0]) if ws else 0.0),
-            "theta-d": lambda ws: base(ws) + Fraction(len(ws), 100),
-            "theta-e": lambda ws: base(ws[:-1]) - float(ws[-1]) if ws else base(ws),
-        }.get(condition)
-        if shift is None:
-            raise CliError(f"unknown mutant {condition!r}")
-        broken_theta = shift
-    elif condition.startswith("sigma"):
-        shift = {
-            "sigma-a": lambda items: (Fraction(0),) if not items else sigma(items),
-            "sigma-b": lambda items: (),
-            "sigma-c": lambda items: tuple(
-                w if w != 0 else Fraction(1, 2) for w in sigma(items)
+    # condition -> (validator, selector, aggregator) with that condition broken.
+    mutants = {
+        "delta-a": (lambda items: 0, sigma, theta),
+        "theta-a": (validator, sigma, lambda ws: Fraction(1, 10) if not ws else theta(ws)),
+        "theta-b": (validator, sigma, lambda ws: theta(ws) - 1 if len(ws) == 1 else theta(ws)),
+        "theta-c": (validator, sigma, lambda ws: theta(ws) + (float(ws[0]) if ws else 0.0)),
+        "theta-d": (validator, sigma, lambda ws: theta(ws) + Fraction(len(ws), 100)),
+        "theta-e": (
+            validator, sigma, lambda ws: theta(ws[:-1]) - float(ws[-1]) if ws else theta(ws)
+        ),
+        "sigma-a": (validator, lambda items: (Fraction(0),) if not items else sigma(items), theta),
+        "sigma-b": (validator, lambda items: (), theta),
+        "sigma-c": (
+            validator,
+            lambda items: tuple(w if w != 0 else Fraction(1, 2) for w in sigma(items)),
+            theta,
+        ),
+        "sigma-d": (validator, lambda items: sigma(items)[:-1], theta),
+        "sigma-e": (
+            validator,
+            lambda items: tuple(
+                max(w - Fraction(len(items), 10), Fraction(0)) for w in sigma(items)
             ),
-            "sigma-d": lambda items: sigma(items)[:-1],
-            "sigma-e": lambda items: tuple(w / 2 for w in sigma(items)),
-        }.get(condition)
-        if shift is None:
-            raise CliError(f"unknown mutant {condition!r}")
-        broken_sigma = shift
-    elif condition == "delta-a":
-        broken_validator = lambda items: 0
-    else:
+            theta,
+        ),
+    }
+    if condition not in mutants:
         raise CliError(f"unknown mutant {condition!r}")
 
     report = audit_well_behaved(
-        broken_validator,
-        broken_sigma,
-        broken_theta,
+        *mutants[condition],
         random_audit_samples(rng, max(50, args.trials // 10)),
         RelationKind(Relation.TINC, negated=True),
         random_weight_tuples(rng, max(50, args.trials // 10)),

@@ -23,7 +23,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from itertools import accumulate
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 from .kernel import (
     Constant,
@@ -41,6 +43,8 @@ from .temporal import Timeline
 TMIN_TOKEN = "TMIN"
 TMAX_TOKEN = "TMAX"
 RESERVED = {TMIN_TOKEN, TMAX_TOKEN, TEMPORAL_SORT}
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -88,16 +92,20 @@ class ParseOutcome:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>=>|[(){},:&!]))"
+    r"(?P<space>\s+)|(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>=>|[(){},:&!])|(?P<bad>.)"
 )
 
 WEIGHT_RE = re.compile(r"^(?:\d+)(?:\.\d{1,9})?$")
 
+# Directive -> processing rank: declarations first (sorts, timeline,
+# constants, predicates) so facts and rules can resolve symbols declared on
+# later lines; facts and rules share a rank and keep their textual order.
+_DIRECTIVES = {"sort": 0, "timeline": 1, "const": 2, "pred": 3, "fact": 4, "rule": 4}
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "name" | "punct" | "eol"
+
+class _Token(NamedTuple):
+    kind: str  # "num" | "name" | "punct"
     text: str
     column: int  # 1-based
 
@@ -109,18 +117,12 @@ def _tokenize(line: str) -> tuple[list[_Token], Optional[int]]:
     unrecognized character.
     """
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(line):
-        if line[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(line, pos)
-        if not m or m.start() != pos:
-            return tokens, pos + 1
-        kind = m.lastgroup or "punct"
-        text = m.group(kind)
-        tokens.append(_Token(kind, text, m.start(kind) + 1))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(line):
+        kind = m.lastgroup
+        if kind == "bad":
+            return tokens, m.start() + 1
+        if kind != "space":
+            tokens.append(_Token(kind, m.group(), m.start() + 1))
     return tokens, None
 
 
@@ -154,12 +156,15 @@ class _LineParser:
         self.parser.diagnostics.append(ParseDiagnostic("error", span, message, expected))
         raise _LineError
 
-    def expect(self, kind: str, text: Optional[str] = None, what: str = "") -> _Token:
+    def expect(
+        self, kind: Optional[str] = None, text: Optional[str] = None, what: str = ""
+    ) -> _Token:
+        """Consume the next token; ``kind=None`` accepts any token."""
         tok = self.next()
-        want = what or (text or kind)
+        want = what or text or kind
         if tok is None:
-            self.error(f"unexpected end of line", None, expected=want)
-        if tok.kind != kind or (text is not None and tok.text != text):
+            self.error("unexpected end of line", None, expected=want)
+        if (kind and tok.kind != kind) or (text and tok.text != text):
             self.error(f"unexpected {tok.text!r}", tok, expected=want)
         return tok
 
@@ -168,6 +173,31 @@ class _LineParser:
         if tok is not None:
             self.error(f"trailing input {tok.text!r}", tok)
 
+    def comma_list(self, item: Callable[[], _T]) -> list[_T]:
+        """Parse ``( item, ..., item )``, reading each element with ``item``."""
+        self.expect("punct", "(")
+        items: list[_T] = []
+        while True:
+            items.append(item())
+            sep = self.next()
+            if sep is None:
+                self.error("unexpected end of line", None, expected="',' or ')'")
+            if sep.text == ")":
+                return items
+            if sep.text != ",":
+                self.error(f"unexpected {sep.text!r}", sep, expected="',' or ')'")
+
+
+def _variable(lp: _LineParser, tok: _Token, sort: str, variables: Optional[dict]) -> Variable:
+    """Resolve a variable term; ``variables`` is None in a fact."""
+    if variables is None:
+        lp.error(f"variable {tok.text!r} in a fact; facts are ground", tok)
+    previous = variables.get(tok.text)
+    if previous is not None and previous.sort != sort:
+        lp.error(f"variable {tok.text!r} already used with sort {previous.sort!r}", tok)
+    variables[tok.text] = var = Variable(tok.text, sort)
+    return var
+
 
 class _LineError(Exception):
     """Abandon the current line; the diagnostic is already recorded."""
@@ -175,20 +205,19 @@ class _LineError(Exception):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.diagnostics: list[ParseDiagnostic] = []
-        self.sorts: dict[str, SourceSpan] = {}
+        self.sorts: set[str] = set()
         self.constants: dict[str, str] = {}
         self.predicates: dict[str, tuple[str, ...]] = {}
         self.timeline: Optional[Timeline] = None
-        self.facts: dict[Literal, tuple[Fraction, SourceSpan]] = {}
+        self.facts: dict[Literal, Fraction] = {}
         self.rules: dict[str, WeightedFormula] = {}
         self.lines = text.split("\n")
-        self.line_starts: list[int] = []
-        offset = 0
-        for line in self.lines:
-            self.line_starts.append(offset)
-            offset += len(line.encode("utf-8")) + 1
+
+    @cached_property
+    def line_starts(self) -> list[int]:
+        """Byte offset of each line; built only once a diagnostic needs one."""
+        return list(accumulate((len(line.encode("utf-8")) + 1 for line in self.lines), initial=0))
 
     def make_span(self, line_no: int, col_start: int, col_end: int) -> SourceSpan:
         line = self.lines[line_no - 1]
@@ -202,8 +231,6 @@ class _Parser:
         for idx, raw in enumerate(self.lines, start=1):
             line = raw.rstrip("\r")
             body = line.split("#", 1)[0]
-            if not body.strip():
-                continue
             tokens, bad_col = _tokenize(body)
             if bad_col is not None:
                 self.diagnostics.append(
@@ -213,20 +240,13 @@ class _Parser:
                         f"unrecognized character {body[bad_col - 1]!r}",
                     )
                 )
-                continue
-            pending.append((idx, tokens, line))
+            elif tokens:
+                pending.append((idx, tokens, line))
 
-        # Declarations first (sorts, timeline, constants, predicates) so
-        # facts and rules can resolve symbols declared on later lines.
-        rank = {"sort": 0, "timeline": 1, "const": 2, "pred": 3}
-        ordered = sorted(
-            pending,
-            key=lambda item: rank.get(item[1][0].text, 4) if item[1] else 4,
-        )
-        for idx, tokens, line in ordered:
-            lp = _LineParser(self, idx, tokens, line)
+        pending.sort(key=lambda item: _DIRECTIVES.get(item[1][0].text, 4))
+        for idx, tokens, line in pending:
             try:
-                self.dispatch(lp)
+                self.dispatch(_LineParser(self, idx, tokens, line))
             except _LineError:
                 continue
 
@@ -240,7 +260,7 @@ class _Parser:
                 )
             )
 
-        if any(d.severity == "error" for d in self.diagnostics):
+        if self.diagnostics:
             return ParseOutcome(None, self.diagnostics)
 
         signature = Signature(
@@ -251,30 +271,18 @@ class _Parser:
         tmln = TMLN(
             signature=signature,
             timeline=self.timeline,
-            facts=frozenset(
-                WeightedFormula(lit, w) for lit, (w, _) in self.facts.items()
-            ),
+            facts=frozenset(WeightedFormula(lit, w) for lit, w in self.facts.items()),
             rules=frozenset(self.rules.values()),
         )
         return ParseOutcome(tmln, self.diagnostics)
 
     def dispatch(self, lp: _LineParser) -> None:
         head = lp.next()
-        assert head is not None
         if head.kind != "name":
             lp.error(f"expected a directive, got {head.text!r}", head)
-        handler = {
-            "sort": self.parse_sort,
-            "timeline": self.parse_timeline,
-            "const": self.parse_const,
-            "pred": self.parse_pred,
-            "fact": self.parse_fact,
-            "rule": self.parse_rule,
-        }.get(head.text)
-        if handler is None:
-            lp.error(f"unknown directive {head.text!r}", head,
-                     expected="sort|timeline|const|pred|fact|rule")
-        handler(lp)
+        if head.text not in _DIRECTIVES:
+            lp.error(f"unknown directive {head.text!r}", head, expected="|".join(_DIRECTIVES))
+        getattr(self, f"parse_{head.text}")(lp)
 
     # --- directives ---------------------------------------------------------
 
@@ -287,7 +295,7 @@ class _Parser:
         if tok.text in self.sorts:
             lp.error(f"sort {tok.text!r} already declared", tok)
         lp.expect_end()
-        self.sorts[tok.text] = lp.span_of(tok)
+        self.sorts.add(tok.text)
 
     def parse_timeline(self, lp: _LineParser) -> None:
         lo = lp.expect("num", what="lower bound")
@@ -327,25 +335,17 @@ class _Parser:
             lp.error("predicate names are capitalized", name)
         if name.text in self.predicates:
             lp.error(f"predicate {name.text!r} already declared", name)
-        lp.expect("punct", "(")
-        args: list[str] = []
-        while True:
+
+        def argument_sort() -> str:
             sort = lp.expect("name", what="sort name")
             if sort.text == TEMPORAL_SORT:
                 lp.error("the temporal argument pair is implicit", sort)
             if sort.text not in self.sorts:
                 lp.error(f"unknown sort {sort.text!r}", sort)
-            args.append(sort.text)
-            tok = lp.next()
-            if tok is None:
-                lp.error("unexpected end of line", None, expected="',' or ')'")
-            if tok.text == ")":
-                break
-            if tok.text != ",":
-                lp.error(f"unexpected {tok.text!r}", tok, expected="',' or ')'")
+            return sort.text
+
+        args = lp.comma_list(argument_sort)
         lp.expect_end()
-        if not args:
-            lp.error("predicates need at least one non-temporal argument", name)
         self.predicates[name.text] = tuple(args)
 
     def _parse_time_term(self, lp: _LineParser, tok: _Token, variables: Optional[dict]) -> Term:
@@ -369,17 +369,7 @@ class _Parser:
                 lp.error("TMAX used before the timeline is known", tok)
             return TimePoint(self.timeline.upper)
         if tok.kind == "name" and tok.text[0].islower():
-            if variables is None:
-                lp.error(f"variable {tok.text!r} in a fact; facts are ground", tok)
-            var = Variable(tok.text, TEMPORAL_SORT)
-            previous = variables.get(tok.text)
-            if previous is not None and previous.sort != TEMPORAL_SORT:
-                lp.error(
-                    f"variable {tok.text!r} already used with sort {previous.sort!r}",
-                    tok,
-                )
-            variables[tok.text] = var
-            return var
+            return _variable(lp, tok, TEMPORAL_SORT, variables)
         lp.error(f"bad time bound {tok.text!r}", tok, expected="int, TMIN, TMAX or variable")
 
     def parse_literal(self, lp: _LineParser, variables: Optional[dict]) -> Literal:
@@ -395,20 +385,7 @@ class _Parser:
         if pred_tok.text not in self.predicates:
             lp.error(f"unknown predicate {pred_tok.text!r}", pred_tok)
         expected_sorts = self.predicates[pred_tok.text]
-        lp.expect("punct", "(")
-        raw: list[_Token] = []
-        while True:
-            term_tok = lp.next()
-            if term_tok is None:
-                lp.error("unexpected end of line", None, expected="term")
-            raw.append(term_tok)
-            sep = lp.next()
-            if sep is None:
-                lp.error("unexpected end of line", None, expected="',' or ')'")
-            if sep.text == ")":
-                break
-            if sep.text != ",":
-                lp.error(f"unexpected {sep.text!r}", sep, expected="',' or ')'")
+        raw = lp.comma_list(lambda: lp.expect(what="term"))
         if len(raw) != len(expected_sorts) + 2:
             lp.error(
                 f"{pred_tok.text!r} takes {len(expected_sorts) + 2} arguments, got {len(raw)}",
@@ -440,16 +417,7 @@ class _Parser:
                     f"constant {tok.text!r} has sort {declared!r}, expected {sort!r}", tok
                 )
             return Constant(tok.text, declared)
-        if variables is None:
-            lp.error(f"variable {tok.text!r} in a fact; facts are ground", tok)
-        var = Variable(tok.text, sort)
-        previous = variables.get(tok.text)
-        if previous is not None and previous.sort != sort:
-            lp.error(
-                f"variable {tok.text!r} already used with sort {previous.sort!r}", tok
-            )
-        variables[tok.text] = var
-        return var
+        return _variable(lp, tok, sort, variables)
 
     def parse_weight(self, lp: _LineParser) -> Fraction:
         tok = lp.expect("num", what="weight")
@@ -466,9 +434,8 @@ class _Parser:
         lp.expect("punct", ":")
         weight = self.parse_weight(lp)
         lp.expect_end()
-        if literal in self.facts and self.facts[literal][0] != weight:
+        if self.facts.setdefault(literal, weight) != weight:
             lp.error(f"fact {literal} already declared with a different weight", lit_tok)
-        self.facts[literal] = (weight, lp.span_of(lit_tok))
 
     def parse_rule(self, lp: _LineParser) -> None:
         name = lp.expect("name", what="rule id")

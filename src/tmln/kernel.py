@@ -250,30 +250,29 @@ def _match_term(pattern: Term, value: Term, binding: dict[Variable, Term]) -> bo
     return pattern == value
 
 
-def _match_literal(pattern: Literal, value: Literal, binding: dict[Variable, Term]) -> bool:
+def _match_literal(
+    pattern: Literal, value: Literal, binding: dict[Variable, Term]
+) -> Optional[dict[Variable, Term]]:
+    """``binding`` extended so that ``pattern`` becomes ``value``, or None."""
     if (
         pattern.positive != value.positive
         or pattern.predicate != value.predicate
         or len(pattern.args) != len(value.args)
     ):
-        return False
-    trail = dict(binding)
+        return None
+    extended = dict(binding)
     for p, v in zip(pattern.args, value.args):
-        if not _match_term(p, v, trail):
-            return False
-    if not _match_term(pattern.lower, value.lower, trail):
-        return False
-    if not _match_term(pattern.upper, value.upper, trail):
-        return False
-    binding.clear()
-    binding.update(trail)
-    return True
+        if not _match_term(p, v, extended):
+            return None
+    if not _match_term(pattern.lower, value.lower, extended):
+        return None
+    if not _match_term(pattern.upper, value.upper, extended):
+        return None
+    return extended
 
 
 def match_premises(
-    premises: tuple[Literal, ...],
-    literals: Iterable[Literal],
-    seed: Optional[Binding] = None,
+    premises: tuple[Literal, ...], literals: Iterable[Literal]
 ) -> list[dict[Variable, Term]]:
     """Enumerate all bindings placing every premise inside ``literals``.
 
@@ -293,11 +292,11 @@ def match_premises(
             return
         pat = premises[i]
         for cand in index.get((pat.positive, pat.predicate), ()):
-            nxt = dict(binding)
-            if _match_literal(pat, cand, nxt):
-                join(i + 1, nxt)
+            extended = _match_literal(pat, cand, binding)
+            if extended is not None:
+                join(i + 1, extended)
 
-    join(0, dict(seed) if seed else {})
+    join(0, {})
     return results
 
 

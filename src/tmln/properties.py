@@ -90,56 +90,50 @@ def shrink_formulae(formulae: list, still_failing) -> list:
     return current
 
 
+# The relation laws: suite name, failure message, and the implications it
+# checks over the four relation values ("!" negates).
+_LATTICE_SUITES = (
+    ("relation-complementarity", "tCon != !pInc", ("tCon -> !pInc", "!pInc -> tCon")),
+    (
+        "relation-subsumption",
+        "subsumption broken",
+        ("pCon -> !tInc", "tInc -> !pCon", "!pCon -> pInc", "!pInc -> pCon"),
+    ),
+    (
+        "relation-inclusion-lattice",
+        "inclusion lattice broken",
+        ("tCon -> pCon", "pCon -> !tInc", "tInc -> !pCon", "!pCon -> pInc"),
+    ),
+)
+_LAWS = {law for _, _, laws in _LATTICE_SUITES for law in laws}
+
+
+def _relation_values(phi) -> dict[str, bool]:
+    return {k: _rel(k, phi) for k in ("pCon", "tCon", "pInc", "tInc")}
+
+
+def _law_holds(law: str, values: dict[str, bool]) -> bool:
+    premise, conclusion = (values[t.lstrip("!")] != t.startswith("!") for t in law.split(" -> "))
+    return not premise or conclusion
+
+
 def _lattice_violation(phi) -> bool:
-    values = {k: _rel(k, phi) for k in ("pCon", "tCon", "pInc", "tInc")}
-    implications = [
-        (values["tCon"], not values["pInc"]),
-        (not values["pInc"], values["tCon"]),
-        (values["pCon"], not values["tInc"]),
-        (values["tInc"], not values["pCon"]),
-        (not values["pCon"], values["pInc"]),
-        (not values["pInc"], values["pCon"]),
-        (values["tCon"], values["pCon"]),
-    ]
-    return not all((not a) or b for a, b in implications)
+    values = _relation_values(phi)
+    return not all(_law_holds(law, values) for law in _LAWS)
 
 
 def check_relation_lattice(rng: random.Random, trials: int) -> list[PropertyOutcome]:
     """Complementarity, subsumption and inclusion laws of the four relations."""
-    comp = PropertyOutcome("relation-complementarity")
-    subs = PropertyOutcome("relation-subsumption")
-    incl = PropertyOutcome("relation-inclusion-lattice")
+    suites = [(PropertyOutcome(name), message, laws) for name, message, laws in _LATTICE_SUITES]
     stable = PropertyOutcome("relation-closure-invariance")
     for _ in range(trials):
         phi = random_formula_set(rng)
-        values = {k: _rel(k, phi) for k in ("pCon", "tCon", "pInc", "tInc")}
-
-        def minimized() -> str:
-            return str(sorted(map(str, shrink_formulae(phi, _lattice_violation))))
-
-        comp.trials += 1
-        if values["tCon"] != (not values["pInc"]):
-            comp.fail(f"tCon != !pInc on {minimized()}")
-
-        subs.trials += 1
-        implications = [
-            (values["pCon"], not values["tInc"]),
-            (values["tInc"], not values["pCon"]),
-            (not values["pCon"], values["pInc"]),
-            (not values["pInc"], values["pCon"]),
-        ]
-        if not all((not a) or b for a, b in implications):
-            subs.fail(f"subsumption broken on {minimized()}")
-
-        incl.trials += 1
-        chain = [
-            (values["tCon"], values["pCon"]),
-            (values["pCon"], not values["tInc"]),
-            (values["tInc"], not values["pCon"]),
-            (not values["pCon"], values["pInc"]),
-        ]
-        if not all((not a) or b for a, b in chain):
-            incl.fail(f"inclusion lattice broken on {minimized()}")
+        values = _relation_values(phi)
+        for outcome, message, laws in suites:
+            outcome.trials += 1
+            if not all(_law_holds(law, values) for law in laws):
+                minimized = sorted(map(str, shrink_formulae(phi, _lattice_violation)))
+                outcome.fail(f"{message} on {minimized}")
 
         # Re-adding something already derived never changes any relation.
         stable.trials += 1
@@ -149,7 +143,7 @@ def check_relation_lattice(rng: random.Random, trials: int) -> list[PropertyOutc
             extended = list(phi) + [extra]
             if any(_rel(k, extended) != v for k, v in values.items()):
                 stable.fail(f"closure-noise changed a relation on {sorted(map(str, phi))}")
-    return [comp, subs, incl, stable]
+    return [outcome for outcome, _, _ in suites] + [stable]
 
 
 def check_delta_ordering(rng: random.Random, trials: int) -> PropertyOutcome:

@@ -263,12 +263,23 @@ class TestCheck:
         assert out1 == out2
         assert "suites passed" in out1
 
-    def test_planted_mutant_is_surfaced(self, capsys):
+    @pytest.mark.parametrize(
+        "condition",
+        ["delta-a"]
+        + [f"theta-{c}" for c in "abcde"]
+        + [f"sigma-{c}" for c in "abcde"],
+    )
+    def test_planted_mutant_is_surfaced(self, condition, capsys):
         code, out, _ = run_cli(
-            "check", "--mutant", "theta-b", "--trials", "200", capsys=capsys
+            "check", "--mutant", condition, "--trials", "200", capsys=capsys
         )
         assert code == 1
-        assert "theta-b" in out and "mutant detected" in out
+        assert f"mutant detected: {condition}" in out
+
+    def test_unknown_mutant_exits_one(self, capsys):
+        code, _, err = run_cli("check", "--mutant", "sigma-z", capsys=capsys)
+        assert code == 1
+        assert "unknown mutant 'sigma-z'" in err
 
     def test_kb_argument_adds_a_suite(self, capsys):
         code, out, _ = run_cli(

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tmln.kbformat import parse, serialize
 from tmln.randgen import random_tmln
@@ -16,6 +18,34 @@ timeline 1300 1400
 const NO : Concept
 pred Person(Concept)
 """
+
+
+DECLS = "timeline 0 10\nsort S\nconst A : S\npred P(S)\n"
+
+# (case, text, message, expected, line, column, byte start, byte end)
+DIAGNOSTIC_CASES = [
+    ("bad-char-after-indent", DECLS + "   ?fact P(A, 1, 2) : 1\n",
+     "unrecognized character '?'", None, 5, 4, 46, 47),
+    ("bad-char-after-non-ascii", "# \u00d8rsted\ntimeline 0 10\nsort\u00a0S ?\n",
+     "unrecognized character '?'", None, 3, 8, 32, 33),
+    ("crlf-line-3", "timeline 0 10\r\nsort S\r\nsort S\r\n",
+     "sort 'S' already declared", None, 3, 6, 28, 29),
+    ("object-then-time-variable", DECLS + "rule R : 1 { P(x, x, 2) => P(x, 1, 2) }\n",
+     "variable 'x' already used with sort 'S'", None, 5, 19, 61, 62),
+    ("time-then-object-variable",
+     DECLS + "rule R : 1 { P(A, t, 2) & P(t, 1, 2) => P(A, t, 2) }\n",
+     "variable 't' already used with sort 'Time'", None, 5, 29, 71, 72),
+    ("pred-missing-comma", DECLS + "pred Q(S S)\n",
+     "unexpected 'S'", "',' or ')'", 5, 10, 52, 53),
+    ("pred-unclosed", DECLS + "pred Q(S\n",
+     "unexpected end of line", "',' or ')'", 5, 9, 51, 51),
+    ("fact-unclosed", DECLS + "fact P(A, 1\n",
+     "unexpected end of line", "',' or ')'", 5, 12, 54, 54),
+    ("fact-missing-term", DECLS + "fact P(A,\n",
+     "unexpected end of line", "term", 5, 10, 52, 52),
+    ("unknown-directive", DECLS + "facts P(A, 1, 2) : 1\n",
+     "unknown directive 'facts'", "sort|timeline|const|pred|fact|rule", 5, 1, 43, 48),
+]
 
 
 def parse_ok(text):
@@ -124,9 +154,23 @@ class TestParse:
         assert outcome.ok
         assert outcome.tmln == oresme
 
-    def test_spans_are_inside_the_document(self):
-        text = KB_HEADER + "fact Person(NO, 1320, 1382) : 1.5\nfact Who(1,2) : ?\n"
+    @pytest.mark.parametrize(
+        "text, message, expected, line, column, start, end",
+        [case[1:] for case in DIAGNOSTIC_CASES],
+        ids=[case[0] for case in DIAGNOSTIC_CASES],
+    )
+    def test_diagnostic_fields(self, text, message, expected, line, column, start, end):
+        (diag,) = parse(text).diagnostics
+        assert (diag.severity, diag.message, diag.expected) == ("error", message, expected)
+        assert (diag.span.line, diag.span.column) == (line, column)
+        assert (diag.span.start, diag.span.end) == (start, end)
+
+    @settings(max_examples=300)
+    @given(st.text())
+    @example(KB_HEADER + "fact Person(NO, 1320, 1382) : 1.5\nfact Who(1,2) : ?\n")
+    def test_spans_are_inside_the_document(self, text):
         outcome = parse(text)
+        assert outcome.ok == (not outcome.diagnostics)
         raw = text.encode("utf-8")
         for diag in outcome.diagnostics:
             assert 1 <= diag.span.line <= text.count("\n") + 1
