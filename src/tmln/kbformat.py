@@ -9,10 +9,12 @@ Grammar, one declaration per line::
     fact [!]<Pred>(<args>, <t1>, <t2>) : <weight>
     rule <id> : <weight> { <lit> & <lit> ... => <lit> }
 
-Constants, sorts and predicates are capitalized; variables are lowercase and
-only legal inside rules.  ``TMIN``/``TMAX`` are reserved tokens for the
-timeline bounds.  ``!`` negates a literal.  Weights are decimals in
-``[0, 1]`` with at most nine fractional digits and are kept exact.
+Constants, sorts and predicates are capitalized.  A term is a name or a
+number; a variable, in an object or a time position alike, is a name
+beginning with a lowercase letter and is only legal inside rules.
+``TMIN``/``TMAX`` are reserved tokens for the timeline bounds.  ``!``
+negates a literal.  Weights are decimals in ``[0, 1]`` with at most nine
+fractional digits and are kept exact.
 
 Parsing recovers at line granularity and reports every problem with a source
 span; a knowledge base is only produced when no errors were found.
@@ -186,6 +188,20 @@ class _LineParser:
                 return items
             if sep.text != ",":
                 self.error(f"unexpected {sep.text!r}", sep, expected="',' or ')'")
+
+
+def _term(lp: _LineParser) -> _Token:
+    """Read a term token: a name or a number."""
+    tok = lp.expect(what="term")
+    if tok.kind == "punct":
+        lp.error(f"expected a term, got {tok.text!r}", tok)
+    return tok
+
+
+def _is_variable(tok: _Token) -> bool:
+    """Variables, in object and time positions alike, are names beginning with
+    a lowercase letter."""
+    return tok.kind == "name" and tok.text[0].islower()
 
 
 def _variable(lp: _LineParser, tok: _Token, sort: str, variables: Optional[dict]) -> Variable:
@@ -368,7 +384,7 @@ class _Parser:
             if self.timeline is None:
                 lp.error("TMAX used before the timeline is known", tok)
             return TimePoint(self.timeline.upper)
-        if tok.kind == "name" and tok.text[0].islower():
+        if _is_variable(tok):
             return _variable(lp, tok, TEMPORAL_SORT, variables)
         lp.error(f"bad time bound {tok.text!r}", tok, expected="int, TMIN, TMAX or variable")
 
@@ -385,7 +401,7 @@ class _Parser:
         if pred_tok.text not in self.predicates:
             lp.error(f"unknown predicate {pred_tok.text!r}", pred_tok)
         expected_sorts = self.predicates[pred_tok.text]
-        raw = lp.comma_list(lambda: lp.expect(what="term"))
+        raw = lp.comma_list(lambda: _term(lp))
         if len(raw) != len(expected_sorts) + 2:
             lp.error(
                 f"{pred_tok.text!r} takes {len(expected_sorts) + 2} arguments, got {len(raw)}",
@@ -417,6 +433,8 @@ class _Parser:
                     f"constant {tok.text!r} has sort {declared!r}, expected {sort!r}", tok
                 )
             return Constant(tok.text, declared)
+        if not _is_variable(tok):
+            lp.error(f"bad term {tok.text!r}", tok, expected="constant or variable")
         return _variable(lp, tok, sort, variables)
 
     def parse_weight(self, lp: _LineParser) -> Fraction:

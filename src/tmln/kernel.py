@@ -6,17 +6,21 @@ arguments are the bounds of the validity interval, e.g.
 Rules are flat implications ``p1 & ... & pk => c`` over such literals, with
 lowercase variables universally quantified.
 
-Derivability is forward chaining over this restricted fragment: facts are
-literals, rules fire once all their (instantiated) premises are in the
-closure.  Negative literals are first-class atoms -- ``P`` and ``!P`` in the
-same closure do *not* explode into everything; conflicts between them are the
+Derivability is forward chaining over this restricted fragment, run by one
+engine, :func:`derive_closure`: it settles literals in decreasing weight
+order and matches rules semi-naively against a persistent index, which also
+yields every literal's support weight and every fired rule instance.
+Negative literals are first-class atoms -- ``P`` and ``!P`` in the same
+closure do *not* explode into everything; conflicts between them are the
 business of the temporal consistency relations, not of derivability.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Any, Iterable, Mapping, Optional, Union
 
 TEMPORAL_SORT = "Time"
 
@@ -271,71 +275,134 @@ def _match_literal(
     return extended
 
 
-def match_premises(
-    premises: tuple[Literal, ...], literals: Iterable[Literal]
-) -> list[dict[Variable, Term]]:
-    """Enumerate all bindings placing every premise inside ``literals``.
+def _index(index: dict[tuple, list[Literal]], lit: Literal) -> None:
+    """File ``lit`` under (polarity, predicate) and (polarity, predicate, first argument)."""
+    key = (lit.positive, lit.predicate)
+    index.setdefault(key, []).append(lit)
+    if lit.args:
+        index.setdefault(key + (lit.args[0],), []).append(lit)
 
-    Premises are joined left to right against an index by polarity and
-    predicate name.  Returned bindings may be partial if some rule variables
-    occur only in the conclusion.
+
+def _join(
+    patterns: tuple[Literal, ...], binding: dict, index: dict, delta=None, before: int = 0
+) -> list:
+    """Every extension of ``binding`` placing each pattern on an indexed
+    literal, paired with the literals placed, in pattern order.
+
+    Patterns are joined left to right, each against the literals sharing its
+    first argument once that argument is bound.  The first ``before``
+    patterns may not be placed on ``delta``.
     """
-    index: dict[tuple[bool, str], list[Literal]] = {}
-    for lit in literals:
-        index.setdefault((lit.positive, lit.predicate), []).append(lit)
+    results = []
 
-    results: list[dict[Variable, Term]] = []
-
-    def join(i: int, binding: dict[Variable, Term]) -> None:
-        if i == len(premises):
-            results.append(binding)
+    def step(i: int, binding: dict[Variable, Term], placed: tuple[Literal, ...]) -> None:
+        if i == len(patterns):
+            results.append((binding, placed))
             return
-        pat = premises[i]
-        for cand in index.get((pat.positive, pat.predicate), ()):
-            extended = _match_literal(pat, cand, binding)
-            if extended is not None:
-                join(i + 1, extended)
+        pattern = patterns[i]
+        key = (pattern.positive, pattern.predicate)
+        first = pattern.args[0] if pattern.args else None
+        if isinstance(first, Variable):
+            first = binding.get(first)
+        for cand in index.get(key if first is None else key + (first,), ()):
+            if cand is not delta or i >= before:
+                extended = _match_literal(pattern, cand, binding)
+                if extended is not None:
+                    step(i + 1, extended, placed + (cand,))
 
-    join(0, {})
+    step(0, binding, ())
     return results
 
 
-def derive_closure(formulae: Iterable[Formula]) -> frozenset[Formula]:
+def match_premises(premises: tuple[Literal, ...], literals: Iterable[Literal]) -> list[Binding]:
+    """Enumerate all bindings placing every premise inside ``literals``.
+
+    Premises are joined left to right, as in :func:`derive_closure`.
+    Returned bindings may be partial if some rule variables occur only in
+    the conclusion.
+    """
+    index: dict[tuple, list[Literal]] = {}
+    for lit in literals:
+        _index(index, lit)
+    return [binding for binding, _ in _join(premises, {}, index)]
+
+
+class Closure(frozenset):
+    """:func:`derive_closure`'s formulae; ``weights`` maps each literal to its
+    support weight and ``fired`` pairs each rule instance with its weight."""
+
+    __slots__ = ("weights", "fired")
+
+
+def derive_closure(formulae: Iterable[Union[Formula, tuple[Formula, Any]]]) -> Closure:
     """Least fixpoint of rule application, plus the canonicalized inputs.
 
-    Every input literal is in the closure; whenever a rule's premises (under
-    some binding, for rules with variables) are all derived literals, its
-    instantiated conclusion joins the closure.  Structurally equal formulae
-    are merged.  Rules whose conclusion still has unbound variables after
-    premise matching contribute nothing for that binding.
+    Every input literal is in the closure, and so is the conclusion of every
+    rule instance whose premises are in it; structurally equal formulae are
+    merged, and a binding that leaves a conclusion variable unbound adds
+    nothing.  An input is a formula or a (formula, weight) pair; a bare
+    formula weighs 1, a repeated one counts at its largest weight, and a
+    literal's support weight is the max over its derivations of the min
+    weight along each (the (max, min) semiring).  Literals settle in
+    decreasing weight order (Knuth's generalised Dijkstra) into a persistent
+    index.  Matching is semi-naive: the settling literal fills one premise of
+    a rule and the other premises join settled literals, those before its
+    position excluding it, so each instance is found once, when its weakest
+    premise settles.  A premise whose first argument is bound meets only the
+    literals with that argument, so individuals that rules join on their
+    first argument add linear match work.
     """
-    literals: set[Literal] = set()
-    rules: list[Rule] = []
-    for f in formulae:
-        if isinstance(f, Literal):
-            if not f.is_ground:
-                raise GroundnessError(f"non-ground literal {f} in closure input")
-            literals.add(f)
-        else:
-            rules.append(f)
+    given = [f if isinstance(f, tuple) else (f, 1) for f in formulae]
+    # A support weight is always one of the input weights, so the engine works
+    # on their ranks; sorting by float first leaves few exact comparisons.
+    levels = sorted({w for _, w in given}, key=lambda w: (float(w), w))
+    rank = {w: i for i, w in enumerate(levels)}
+    best: dict[Literal, int] = {}
+    rules: dict[Rule, int] = {}
+    for f, w in given:
+        table = rules if isinstance(f, Rule) else best
+        if table is best and not f.is_ground:
+            raise GroundnessError(f"non-ground literal {f} in closure input")
+        table[f] = max(table.get(f, -1), rank[w])
+    triggers: dict[tuple[bool, str], list] = {}  # premise key -> rule, rank, position, ...
+    for rule, r in rules.items():
+        rest = [rule.premises[:j] + rule.premises[j + 1 :] for j in range(len(rule.premises))]
+        for j, p in enumerate(rule.premises):
+            trigger = (rule, r, j, p, rest[j], rule.conclusion.variables())
+            triggers.setdefault((p.positive, p.predicate), []).append(trigger)
 
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            for binding in match_premises(rule.premises, literals):
-                if not rule.conclusion.variables() <= set(binding):
-                    continue
-                concl = substitute_literal(rule.conclusion, binding)
-                if concl not in literals:
-                    literals.add(concl)
-                    changed = True
-    return frozenset(literals) | frozenset(rules)
+    tiebreak = itertools.count()
+    heap = [(-r, next(tiebreak), lit) for lit, r in best.items()]
+    heapq.heapify(heap)
+    index: dict[tuple, list[Literal]] = {}
+    fired: list[tuple[Rule, int]] = []
+    while heap:
+        r, _, lit = heapq.heappop(heap)
+        if best[lit] != -r:
+            continue  # superseded by a larger weight, settled already
+        _index(index, lit)
+        triggered = triggers.get((lit.positive, lit.predicate), ())
+        for rule, rule_rank, j, pattern, rest, head_vars in triggered:
+            binding = _match_literal(pattern, lit, {})
+            if binding is None:
+                continue
+            value = min(rule_rank, -r)
+            for binding, placed in _join(rest, binding, index, lit, j):
+                if head_vars <= binding.keys():
+                    head = substitute_literal(rule.conclusion, binding)
+                    fired.append((Rule(placed[:j] + (lit,) + placed[j:], head, rule.label), value))
+                    if best.get(head, -1) < value:
+                        best[head] = value
+                        heapq.heappush(heap, (-value, next(tiebreak), head))
+    closure = Closure({**best, **rules})  # from dicts, so nothing is hashed again
+    closure.weights = {lit: levels[r] for lit, r in best.items()}
+    closure.fired = [(rule, levels[r]) for rule, r in fired]
+    return closure
 
 
 def closure_literals(formulae: Iterable[Formula]) -> frozenset[Literal]:
     """The ground literals of :func:`derive_closure`."""
-    return frozenset(f for f in derive_closure(formulae) if isinstance(f, Literal))
+    return frozenset(derive_closure(formulae).weights)
 
 
 def entails(formulae: Iterable[Formula], target: Formula) -> bool:

@@ -7,9 +7,10 @@ whose premises are all derivable, weighted by the weakest link used to build
 it.  Any subset of the maximal instantiation is a *state* that the semantics
 layer can score.
 
-Support weights are one fixpoint over the (max, min) semiring: a literal's
-weight is the max over its derivations of the min weight along each.  Both
-grounding and every support-weight query are answered from that fixpoint.
+Support weights and the rule instances of grounding both come from one run
+of the closure engine, ``kernel.derive_closure``, over the (max, min)
+semiring: a literal's weight is the max over its derivations of the min
+weight along each.
 
 Weights are exact fractions constructed from decimal strings, so grounding
 and support weights never pick up binary floating point drift.
@@ -17,8 +18,6 @@ and support weights never pick up binary floating point drift.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -30,9 +29,8 @@ from .kernel import (
     Rule,
     Signature,
     TimePoint,
-    closure_literals,
-    match_premises,
-    substitute,
+    closure_literals,  # noqa: F401  -- a name perfbench's tracer rebinds here
+    derive_closure,
     validate_signature,
 )
 from .temporal import Timeline
@@ -218,70 +216,6 @@ def _members(items: Union[TMLN, Iterable[WeightedFormula]]) -> tuple[WeightedFor
     return tuple(items)
 
 
-def _fixpoint(
-    items: Union[TMLN, Iterable[WeightedFormula]]
-) -> tuple[dict[Literal, Weight], list[tuple[Rule, Weight]]]:
-    """Support weights of every derivable literal, and every rule instance.
-
-    The closure of the knowledge base is computed once and each rule's ground
-    instances are enumerated once against it; bindings that leave a
-    conclusion variable unbound contribute nothing, as in ``derive_closure``.
-    Literals are then settled in decreasing weight order (Knuth's
-    generalisation of Dijkstra's algorithm): an instance fires once all its
-    premises are settled, and the premise settled last is its weakest, so the
-    instance's weight is the min of that premise's weight and the rule's.
-    A fact stated at several weights starts from the largest.
-    """
-    members = _members(items)
-    formulae = tf(members)
-    # Rules in canonical order, so the closure's rounds do not depend on hashing.
-    rules = sorted((f for f in formulae if isinstance(f, Rule)), key=formula_key)
-    universe = closure_literals([f for f in formulae if isinstance(f, Literal)] + rules)
-    weights: dict[Literal, Weight] = {}
-    instances: list[tuple[Rule, Weight]] = []
-    waiting: list[int] = []  # per instance, its premises not yet settled
-    uses: dict[Literal, list[int]] = {}  # premise -> the instances using it
-    for wf in members:
-        f = wf.formula
-        if isinstance(f, Literal):
-            if f not in weights or weights[f] < wf.weight:
-                weights[f] = wf.weight
-            continue
-        for binding in match_premises(f.premises, universe):
-            if not f.conclusion.variables() <= binding.keys():
-                continue
-            rule = substitute(f, binding)
-            premises = set(rule.premises)
-            for p in premises:
-                uses.setdefault(p, []).append(len(instances))
-            waiting.append(len(premises))
-            instances.append((rule, wf.weight))
-
-    tiebreak = itertools.count()
-    heap = [(-w, next(tiebreak), lit) for lit, w in weights.items()]
-    heapq.heapify(heap)
-    settled: set[Literal] = set()
-    fired: list[tuple[Rule, Weight]] = []
-    while heap:
-        _, _, lit = heapq.heappop(heap)
-        if lit in settled:
-            continue
-        settled.add(lit)
-        w = weights[lit]
-        for i in uses.get(lit, ()):
-            waiting[i] -= 1
-            if waiting[i]:
-                continue
-            rule, rule_weight = instances[i]
-            value = min(rule_weight, w)
-            fired.append((rule, value))
-            head = rule.conclusion
-            if head not in weights or weights[head] < value:
-                weights[head] = value
-                heapq.heappush(heap, (-value, next(tiebreak), head))
-    return weights, fired
-
-
 def support_weights(items: Union[TMLN, Iterable[WeightedFormula]]) -> dict[Literal, Weight]:
     """Every derivable literal with the maximal weight at which it is deducible.
 
@@ -289,7 +223,7 @@ def support_weights(items: Union[TMLN, Iterable[WeightedFormula]]) -> dict[Liter
     each derivation uses, equivalently the max over the inclusion-minimal
     entailing subsets of the min weight inside each subset.
     """
-    return _fixpoint(items)[0]
+    return derive_closure((wf.formula, wf.weight) for wf in _members(items)).weights
 
 
 def weight_of(target: Literal, items: Union[TMLN, Iterable[WeightedFormula]]) -> Weight:
@@ -312,8 +246,7 @@ def ground(M: TMLN) -> Instantiation:
     yielding the same ground rule are merged, keeping the larger weight.
     """
     instances: dict[Rule, Weight] = {}
-    for rule, w in _fixpoint(M)[1]:
-        if rule not in instances or instances[rule] < w:
+    for rule, w in derive_closure((wf.formula, wf.weight) for wf in _members(M)).fired:
+        if instances.get(rule, -1) < w:
             instances[rule] = w
-    members = set(M.facts) | {WeightedFormula(r, w) for r, w in instances.items()}
-    return frozenset(members)
+    return frozenset(M.facts) | {WeightedFormula(r, w) for r, w in instances.items()}

@@ -45,6 +45,18 @@ DIAGNOSTIC_CASES = [
      "unexpected end of line", "term", 5, 10, 52, 52),
     ("unknown-directive", DECLS + "facts P(A, 1, 2) : 1\n",
      "unknown directive 'facts'", "sort|timeline|const|pred|fact|rule", 5, 1, 43, 48),
+    ("paren-as-object-term", DECLS + "rule R : 0.5 { P((, t, u) => P((, t, u) }\n",
+     "expected a term, got '('", None, 5, 18, 60, 61),
+    ("ampersand-as-object-term", DECLS + "rule R : 0.5 { P(&, t, u) => P(&, t, u) }\n",
+     "expected a term, got '&'", None, 5, 18, 60, 61),
+    ("bang-as-time-term", DECLS + "rule R : 0.5 { P(x, t, !) => P(x, t, u) }\n",
+     "expected a term, got '!'", None, 5, 24, 66, 67),
+    ("empty-fact-term", DECLS + "fact P(A,,1,2) : 1\n",
+     "expected a term, got ','", None, 5, 10, 52, 53),
+    ("underscore-object-variable", DECLS + "rule R : 0.5 { P(_x, t, u) => P(_x, t, u) }\n",
+     "bad term '_x'", "constant or variable", 5, 18, 60, 62),
+    ("underscore-time-variable", DECLS + "rule R : 0.5 { P(x, _t, u) => P(x, _t, u) }\n",
+     "bad time bound '_t'", "int, TMIN, TMAX or variable", 5, 21, 63, 65),
 ]
 
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from tmln.kernel import (
     BindingError,
     Constant,
+    GroundnessError,
     Literal,
     Signature,
     TimePoint,
@@ -113,6 +114,18 @@ class TestDeriveClosure:
 
     def test_empty_closure(self):
         assert derive_closure([]) == frozenset()
+
+    def test_non_ground_literal_is_rejected(self):
+        loose = Literal(True, "P", (Variable("x", "Concept"),), TimePoint(1), TimePoint(2))
+        with pytest.raises(GroundnessError, match="non-ground literal"):
+            derive_closure([loose])
+
+    def test_weighted_view_agrees_with_the_unweighted_one(self, oresme):
+        pairs = [(m.formula, m.weight) for m in oresme.facts | oresme.rules]
+        weighted = derive_closure(pairs)
+        assert weighted == derive_closure(f for f, _ in pairs)
+        assert weighted.weights.keys() == closure_literals(f for f, _ in pairs)
+        assert len(weighted.fired) == 3
 
     def test_negative_conclusion_is_derived(self, names):
         # Brute-force check by hand: GR2's premises are both present, so its

@@ -1,5 +1,6 @@
 """Knowledge-base container, support weights and grounding."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,17 @@ import pytest
 
 from tmln import kernel, network
 from tmln.kbformat import parse
-from tmln.kernel import Constant, Literal, Rule, Signature, TimePoint, Variable, closure_literals
+from tmln.kernel import (
+    Constant,
+    Literal,
+    Rule,
+    Signature,
+    TimePoint,
+    Variable,
+    closure_literals,
+    derive_closure,
+    substitute,
+)
 from tmln.network import (
     NotDerivableError,
     TMLN,
@@ -19,7 +30,7 @@ from tmln.network import (
     weight_of,
     weight_str,
 )
-from tmln.oracle import brute_weight
+from tmln.oracle import brute_closure, brute_weight
 from tmln.randgen import fresh_predicate_fact, random_tmln
 from tmln.temporal import Timeline
 
@@ -277,8 +288,10 @@ class TestSupportWeights:
             union = TMLN(sig, M1.timeline, M1.facts | facts2, M1.rules | rules2)
             assert ground(union) == ground(M1) | ground(N2)
 
-    def test_grounding_is_one_closure_whatever_the_number_of_people(self, monkeypatch):
-        counts = {"match_premises": 0, "weight_of": 0}
+    def test_grounding_match_work_is_linear_in_the_number_of_people(self, monkeypatch):
+        # Every candidate the closure engine tries to match goes through
+        # kernel._match_literal.
+        counts = {"match": 0, "weight_of": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -287,16 +300,138 @@ class TestSupportWeights:
 
             return wrapper
 
-        match = counting("match_premises", kernel.match_premises)
-        monkeypatch.setattr(kernel, "match_premises", match)
-        monkeypatch.setattr(network, "match_premises", match)
+        monkeypatch.setattr(kernel, "_match_literal", counting("match", kernel._match_literal))
         monkeypatch.setattr(network, "weight_of", counting("weight_of", network.weight_of))
-        calls = []
-        for n in (5, 40):
-            M = people_kb(n)
-            counts.update(match_premises=0, weight_of=0)
-            mi = ground(M)
-            assert len(mi) == 6 * n
-            calls.append(dict(counts))
-        assert calls[0] == calls[1]
-        assert calls[0]["weight_of"] == 0
+        attempts = {}
+        for n in (5, 10, 40):
+            counts["match"] = 0
+            assert len(ground(people_kb(n))) == 6 * n
+            attempts[n] = counts["match"]
+        assert counts["weight_of"] == 0
+        # Linear growth with 1/8 slack: 8 times the people cost at most 9 times the work.
+        assert attempts[10] <= 9 / 4 * attempts[5]
+        assert attempts[40] <= 9 * attempts[5]
+
+
+SEMI_NAIVE_HEADER = (
+    "sort Obj\ntimeline 0 9\nconst A : Obj\nconst B : Obj\nconst C : Obj\n"
+    "pred P(Obj)\npred Q(Obj)\npred S(Obj, Obj)\n"
+)
+
+SEMI_NAIVE_CASES = {
+    # x = y places S(A, A, 0, 3) on both premises.
+    "one-literal-two-positions": (
+        "fact S(A, A, 0, 3) : 0.6\nfact S(A, B, 1, 4) : 0.7\nfact S(B, A, 2, 5) : 0.4\n"
+        "rule R : 0.9 { S(x, y, t, u) & S(y, x, t2, u2) => Q(x, 0, 9) }\n"
+    ),
+    "self-recursive": (
+        "fact S(A, B, 0, 2) : 0.8\nfact S(B, C, 3, 5) : 0.5\nfact S(C, A, 6, 8) : 0.7\n"
+        "rule T : 0.6 { S(x, y, t, u) & S(y, z, t2, u2) => S(x, z, 0, 9) }\n"
+    ),
+    "two-rule-cycle": (
+        "fact P(A, 0, 3) : 0.9\nfact Q(B, 1, 2) : 0.6\n"
+        "rule PQ : 0.3 { P(x, t, u) => Q(x, t, u) }\nrule QP : 0.8 { Q(x, t, u) => P(x, t, u) }\n"
+    ),
+    # The rule is stated again at 0.7 below.
+    "one-rule-two-weights": (
+        "fact P(A, 0, 3) : 0.9\nfact P(B, 1, 2) : 0.2\nrule R : 0.4 { P(x, t, u) => Q(x, 0, 9) }\n"
+    ),
+    # P settles after S, so S(y, x, ...) is joined with y still unbound.
+    "unbound-first-argument": (
+        "fact S(A, B, 0, 3) : 0.9\nfact S(C, B, 1, 3) : 0.8\nfact S(A, C, 2, 4) : 0.7\n"
+        "fact P(B, 0, 9) : 0.3\nfact P(C, 0, 9) : 0.5\n"
+        "rule R : 1 { S(y, x, t, u) & P(x, t2, u2) => Q(y, 0, 9) }\n"
+    ),
+    # A rule whose conclusion variable s occurs in no premise is added below.
+    "conclusion-only-variable": (
+        "fact P(A, 0, 3) : 0.5\nrule R : 0.8 { P(x, t, u) => Q(x, t, u) }\n"
+    ),
+    # The facts, at two weights that are one float, are added below.
+    "weights-equal-as-floats": "rule R : 1 { P(x, t, u) & Q(x, t2, u2) => S(x, x, 0, 9) }\n",
+}
+
+LOW, HIGH = Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30)
+
+
+def semi_naive_kb(name):
+    M = parse(SEMI_NAIVE_HEADER + SEMI_NAIVE_CASES[name]).tmln
+    extra = set()
+    if name == "one-rule-two-weights":
+        (rule,) = M.rules
+        extra.add(wf(rule.formula, "0.7"))
+    if name == "conclusion-only-variable":
+        x = Variable("x", "Obj")
+        s, t, u = (Variable(v, "Time") for v in "stu")
+        extra.add(wf(Rule((Literal(True, "P", (x,), t, u),), Literal(True, "Q", (x,), s, u), "L"), 1))
+    facts = M.facts
+    if name == "weights-equal-as-floats":
+        facts = {wf(lit(p, c, lo=0, hi=3), w) for p, c, w in
+                 [("P", "A", HIGH), ("Q", "A", LOW), ("P", "B", LOW), ("Q", "B", HIGH)]}
+    return TMLN(M.signature, M.timeline, frozenset(facts), M.rules | extra)
+
+
+def _unify(pattern, literal, binding):
+    if (pattern.positive, pattern.predicate, len(pattern.args)) != (
+        literal.positive,
+        literal.predicate,
+        len(literal.args),
+    ):
+        return False
+    pairs = zip((*pattern.args, pattern.lower, pattern.upper), (*literal.args, literal.lower, literal.upper))
+    for p, v in pairs:
+        if not isinstance(p, Variable):
+            if p != v:
+                return False
+        elif v.sort != p.sort or binding.setdefault(p, v) != v:
+            return False
+    return True
+
+
+def naive_ground(M):
+    """Every binding of every rule over the oracle's closure, weighted by the
+    min of the rule's weight and its premises' brute_weight, the max over
+    duplicates."""
+    closure = brute_closure(tf(M))
+    weights = {literal: brute_weight(literal, M) for literal in closure}
+    instances = {}
+    for rule in M.rules:
+        premises = rule.formula.premises
+        for placed in itertools.product(closure, repeat=len(premises)):
+            binding = {}
+            if not all(_unify(p, literal, binding) for p, literal in zip(premises, placed)):
+                continue
+            if not rule.formula.conclusion.variables() <= binding.keys():
+                continue
+            instance = substitute(rule.formula, binding)
+            w = min([rule.weight] + [weights[literal] for literal in placed])
+            instances[instance] = max(instances.get(instance, w), w)
+    return M.facts | {WeightedFormula(r, w) for r, w in instances.items()}
+
+
+class TestSemiNaive:
+    @pytest.mark.parametrize("name", sorted(SEMI_NAIVE_CASES))
+    def test_engine_matches_the_oracle(self, name):
+        M = semi_naive_kb(name)
+        closure = brute_closure(tf(M))
+        assert closure_literals(tf(M)) == closure
+        assert support_weights(M) == {literal: brute_weight(literal, M) for literal in closure}
+        assert ground(M) == naive_ground(M)
+
+    @pytest.mark.parametrize("name", sorted(SEMI_NAIVE_CASES))
+    def test_every_instance_is_found_once(self, name):
+        M = semi_naive_kb(name)
+        fired = [rule for rule, _ in derive_closure((m.formula, m.weight) for m in M.facts | M.rules).fired]
+        assert fired
+        assert len(fired) == len(set(fired))
+
+    def test_cases_reach_their_edge(self):
+        texts = {str(m.formula) for m in ground(semi_naive_kb("one-literal-two-positions"))}
+        assert "R: S(A, A, 0, 3) & S(A, A, 0, 3) => Q(A, 0, 9)" in texts
+        weights = support_weights(semi_naive_kb("one-rule-two-weights"))
+        assert weights[lit("Q", "A", lo=0, hi=9)] == Fraction("0.7")
+        weights = support_weights(semi_naive_kb("unbound-first-argument"))
+        assert weights[lit("Q", "A", lo=0, hi=9)] == Fraction("0.5")
+        assert weights[lit("Q", "C", lo=0, hi=9)] == Fraction("0.3")
+        assert float(LOW) == float(HIGH)
+        weights = support_weights(semi_naive_kb("weights-equal-as-floats"))
+        assert weights[lit("S", "A", "A", lo=0, hi=9)] == weights[lit("S", "B", "B", lo=0, hi=9)] == LOW
