@@ -9,12 +9,12 @@ a ``schema_version`` field and emit weights as decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
 from .inference import (
     BoundError,
@@ -40,16 +40,6 @@ from .network import (
     tf,
     weight_str,
 )
-from .oracle import (
-    OracleBoundError,
-    OracleReport,
-    brute_closure,
-    brute_map,
-    brute_weight,
-    digest,
-)
-from .properties import PropertyOutcome, run_all
-from .randgen import random_audit_samples, random_weight_tuples
 from .semantics import (
     Aggregator,
     ParametricSemantics,
@@ -59,6 +49,10 @@ from .semantics import (
     scores_equal,
 )
 from .temporal import Relation, TemporalError, Timeline
+
+if TYPE_CHECKING:  # check and oracle-compare load these on demand
+    from .oracle import OracleReport
+    from .properties import PropertyOutcome
 
 SCHEMA_VERSION = 1
 
@@ -113,7 +107,15 @@ def map_record(
     result: MapResult,
     tmln: TMLN,
     query: Optional[Query],
+    known: Optional[dict] = None,
 ) -> list[dict]:
+    """One record per optimal state.
+
+    ``known`` maps an instantiation to its conclusion records; a sweep
+    shares it across rows, so each distinct state's conclusions are
+    computed once.
+    """
+    known = {} if known is None else known
     out = []
     for entry in result.entries:
         members = canonical_order(entry.instantiation)
@@ -129,13 +131,16 @@ def map_record(
             "conclusions": [],
         }
         if query is not None:
-            record["conclusions"] = [
-                {
-                    "literal": literal_text(lit, tmln.timeline),
-                    "weight": weight_str(w),
-                }
-                for lit, w in conclusions(entry.instantiation, query)
-            ]
+            found = known.get(entry.instantiation)
+            if found is None:
+                found = known[entry.instantiation] = [
+                    {
+                        "literal": literal_text(lit, tmln.timeline),
+                        "weight": weight_str(w),
+                    }
+                    for lit, w in conclusions(entry.instantiation, query)
+                ]
+            record["conclusions"] = found
         out.append(record)
     return out
 
@@ -309,13 +314,14 @@ def read_sweep(path: str) -> list[ParametricSemantics]:
 
 def sweep_payload(M: TMLN, kb_name: str, configs, query: Optional[Query]) -> dict:
     results = map_batch(M, configs)
+    known: dict = {}
     rows = []
     for tps, result in zip(configs, results):
         rows.append(
             {
                 "config": config_record(tps),
                 "strength": weight_str(result.strength),
-                "maps": map_record(result, M, query),
+                "maps": map_record(result, M, query, known),
             }
         )
     return {
@@ -356,6 +362,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     if args.mutant:
         return _run_mutant(args)
+    from .properties import run_all
+
     outcomes: list[PropertyOutcome] = []
     if args.path:
         M = load_kb(args.path)
@@ -369,10 +377,16 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _kb_oracle_outcome(M: TMLN, path: str) -> PropertyOutcome:
+    from .oracle import OracleBoundError, brute_map
+    from .properties import PropertyOutcome
+
     outcome = PropertyOutcome(f"kb-oracle-equivalence({Path(path).name})")
     tps = ParametricSemantics(Validator(Relation.TCON), Selector("id"), Aggregator("sum"))
     engine = map_exhaustive(M, tps)
-    states, best = brute_map(M, tps)
+    try:
+        states, best = brute_map(M, tps)
+    except OracleBoundError as exc:
+        raise CliError(str(exc)) from None
     outcome.trials += 1
     if set(engine.instantiations) != set(states) or not scores_equal(engine.strength, best):
         outcome.fail("engine and oracle disagree on this knowledge base")
@@ -381,6 +395,9 @@ def _kb_oracle_outcome(M: TMLN, path: str) -> PropertyOutcome:
 
 def _run_mutant(args: argparse.Namespace) -> int:
     """Run one audit with a deliberately broken component; expect detection."""
+    import random
+
+    from .randgen import random_audit_samples, random_weight_tuples
     from .semantics import audit_well_behaved
     from .temporal import RelationKind
 
@@ -432,11 +449,10 @@ def _run_mutant(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_oracle_compare(args: argparse.Namespace) -> int:
-    M = load_kb(args.path)
-    tps = semantics_from(args.delta, args.sigma, args.theta)
-    reports: list[OracleReport] = []
+def _oracle_reports(M: TMLN, tps: ParametricSemantics) -> list[OracleReport]:
+    from .oracle import OracleReport, brute_closure, brute_map, brute_weight, digest
 
+    reports: list[OracleReport] = []
     formulae = sorted(tf(M), key=str)
     engine_lits = sorted(str(l) for l in closure_literals(formulae))
     oracle_lits = sorted(str(l) for l in brute_closure(formulae))
@@ -482,7 +498,18 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
             and scores_equal(engine_map.strength, oracle_best),
         )
     )
+    return reports
 
+
+def cmd_oracle_compare(args: argparse.Namespace) -> int:
+    from .oracle import OracleBoundError
+
+    M = load_kb(args.path)
+    tps = semantics_from(args.delta, args.sigma, args.theta)
+    try:
+        reports = _oracle_reports(M, tps)
+    except OracleBoundError as exc:
+        raise CliError(str(exc)) from None
     ok = True
     for r in reports:
         status = "match" if r.match else "MISMATCH"
@@ -496,7 +523,9 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
 
 # --- entry point -------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call of :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="tmln",
         description="Reason over weighted temporal knowledge bases.",
@@ -553,16 +582,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        CliError, NetworkError, SemanticsError, InferenceError, TemporalError, OracleBoundError
-    ) as exc:
+    except (CliError, NetworkError, SemanticsError, InferenceError, TemporalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

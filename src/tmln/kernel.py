@@ -276,11 +276,12 @@ def _match_literal(
 
 
 def _index(index: dict[tuple, list[Literal]], lit: Literal) -> None:
-    """File ``lit`` under (polarity, predicate) and (polarity, predicate, first argument)."""
+    """File ``lit`` under (polarity, predicate) and, for every argument
+    position i, under (polarity, predicate, i, argument i)."""
     key = (lit.positive, lit.predicate)
     index.setdefault(key, []).append(lit)
-    if lit.args:
-        index.setdefault(key + (lit.args[0],), []).append(lit)
+    for i, arg in enumerate(lit.args):
+        index.setdefault(key + (i, arg), []).append(lit)
 
 
 def _join(
@@ -290,7 +291,8 @@ def _join(
     literal, paired with the literals placed, in pattern order.
 
     Patterns are joined left to right, each against the literals sharing its
-    first argument once that argument is bound.  The first ``before``
+    first bound argument (a constant, or a variable already bound), or its
+    whole predicate when no argument is bound.  The first ``before``
     patterns may not be placed on ``delta``.
     """
     results = []
@@ -301,10 +303,13 @@ def _join(
             return
         pattern = patterns[i]
         key = (pattern.positive, pattern.predicate)
-        first = pattern.args[0] if pattern.args else None
-        if isinstance(first, Variable):
-            first = binding.get(first)
-        for cand in index.get(key if first is None else key + (first,), ()):
+        for pos, arg in enumerate(pattern.args):
+            if isinstance(arg, Variable):
+                arg = binding.get(arg)
+            if arg is not None:
+                key += (pos, arg)
+                break
+        for cand in index.get(key, ()):
             if cand is not delta or i >= before:
                 extended = _match_literal(pattern, cand, binding)
                 if extended is not None:
@@ -348,9 +353,9 @@ def derive_closure(formulae: Iterable[Union[Formula, tuple[Formula, Any]]]) -> C
     index.  Matching is semi-naive: the settling literal fills one premise of
     a rule and the other premises join settled literals, those before its
     position excluding it, so each instance is found once, when its weakest
-    premise settles.  A premise whose first argument is bound meets only the
-    literals with that argument, so individuals that rules join on their
-    first argument add linear match work.
+    premise settles.  A premise with a bound argument meets only the
+    literals with that argument at that position, so individuals that rules
+    join on any argument add linear match work.
     """
     given = [f if isinstance(f, tuple) else (f, 1) for f in formulae]
     # A support weight is always one of the input weights, so the engine works

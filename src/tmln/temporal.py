@@ -203,54 +203,72 @@ class GroundState:
                 self.prem_mask.append(mask)
                 self.concl_bit.append(bit(f.conclusion))
         self.rule_indices = [i for i, f in enumerate(formulae) if isinstance(f, Rule)]
+        self.rule_mask = sum(1 << i for i in self.rule_indices)
 
-        # Complementary literal pairs: both bits, and their clash kinds.
-        by_atom: dict[tuple[str, tuple], list[Literal]] = {}
-        for lit in lit_ids:
-            by_atom.setdefault((lit.predicate, lit.args), []).append(lit)
-        self.pairs: list[tuple[int, int]] = []
+        # Complementary literal pairs: per literal id, each partner's bit and
+        # the pair's clash kinds.
+        by_atom: dict[tuple[str, tuple], list[tuple[Literal, int]]] = {}
+        for lit, k in lit_ids.items():
+            by_atom.setdefault((lit.predicate, lit.args), []).append((lit, k))
+        self.partners: list[list[tuple[int, int]]] = [[] for _ in lit_ids]
         for group in by_atom.values():
-            for pos in (l for l in group if l.positive):
-                for neg in (l for l in group if not l.positive):
-                    both = 1 << lit_ids[pos] | 1 << lit_ids[neg]
-                    kinds = _clash(ti(pos.lower, pos.upper), ti(neg.lower, neg.upper))
-                    self.pairs.append((both, kinds))
-        self._closure: dict[int, int] = {}
-        self._clashes: dict[int, int] = {}
+            for pos, i in group:
+                if pos.positive:
+                    for neg, j in group:
+                        if not neg.positive:
+                            kinds = _clash(ti(pos.lower, pos.upper), ti(neg.lower, neg.upper))
+                            self.partners[i].append((1 << j, kinds))
+                            self.partners[j].append((1 << i, kinds))
+        self._closure: dict[int, int] = {0: 0}
+        self._clashes: dict[int, int] = {0: 0}
 
     def closure_bits(self, mask: int) -> int:
         """Literal bits derivable from the subset: its facts, then rule firing."""
-        cached = self._closure.get(mask)
-        if cached is not None:
-            return cached
-        lits = 0
-        for i in range(self.n):
-            if mask >> i & 1:
-                lits |= self.fact_bit[i]
-        changed = True
-        while changed:
-            changed = False
-            for i in self.rule_indices:
-                if mask >> i & 1:
-                    concl = self.concl_bit[i]
-                    if concl & ~lits and not self.prem_mask[i] & ~lits:
-                        lits |= concl
-                        changed = True
-        self._closure[mask] = lits
-        return lits
+        lits = self._closure.get(mask)
+        return self._extend(mask)[0] if lits is None else lits
 
     def clashes(self, mask: int) -> int:
         """Union of the clash kinds of the complementary pairs in the closure."""
-        cached = self._clashes.get(mask)
-        if cached is not None:
-            return cached
-        lits = self.closure_bits(mask)
-        kinds = 0
-        for both, pair_kinds in self.pairs:
-            if lits & both == both:
-                kinds |= pair_kinds
-        self._clashes[mask] = kinds
-        return kinds
+        kinds = self._clashes.get(mask)
+        return self._extend(mask)[1] if kinds is None else kinds
+
+    def _extend(self, mask: int) -> tuple[int, int]:
+        """Memoize the closure and clash kinds of the subset.
+
+        Each is built from the subset less its highest member, the parent,
+        which the searches have always memoized already (unknown parents are
+        built first): the new member's fact is added, the subset's rules fire
+        to a fixpoint, and only the pairs touching a newly derived literal
+        can add clash kinds.
+        """
+        missing = []
+        while mask not in self._closure:
+            missing.append(mask)
+            mask ^= 1 << mask.bit_length() - 1
+        lits, kinds = self._closure[mask], self._clashes[mask]
+        for mask in reversed(missing):
+            before = lits
+            lits |= self.fact_bit[mask.bit_length() - 1]
+            if mask & self.rule_mask:
+                changed = True
+                while changed:
+                    changed = False
+                    for i in self.rule_indices:
+                        if mask >> i & 1:
+                            concl = self.concl_bit[i]
+                            if concl & ~lits and not self.prem_mask[i] & ~lits:
+                                lits |= concl
+                                changed = True
+            new = lits & ~before
+            while new:
+                low = new & -new
+                for other, pair_kinds in self.partners[low.bit_length() - 1]:
+                    if lits & other:
+                        kinds |= pair_kinds
+                new ^= low
+            self._closure[mask] = lits
+            self._clashes[mask] = kinds
+        return lits, kinds
 
     def holds(self, kind: RelationKind, mask: int) -> bool:
         """Evaluate a (possibly negated) relation on the closure of the subset.

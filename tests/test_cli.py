@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmln.cli import main
+from tmln import cli
+from tmln.cli import formula_text, main
+from tmln.inference import conclusions
 from tmln.network import ground, weight_str
-from tmln.cli import formula_text
 
 DATA = Path(__file__).parent.parent / "src" / "tmln" / "data"
 ORESME = str(DATA / "oresme.tmln")
@@ -226,6 +227,23 @@ class TestSweep:
         assert code == 0
         assert out == GOLDEN.read_text(encoding="utf-8")
 
+    def test_conclusions_are_computed_once_per_instantiation(self, monkeypatch, capsys):
+        seen = []
+
+        def counted(instantiation, query):
+            seen.append(frozenset(instantiation))
+            return conclusions(instantiation, query)
+
+        monkeypatch.setattr(cli, "conclusions", counted)
+        code, out, _ = run_cli(
+            "sweep", ORESME, SWEEP, "--json", "--query", "PeasantFamily(*,*,*)",
+            capsys=capsys,
+        )
+        assert code == 0
+        # The 12 configurations give 15 optimal states but 7 distinct ones.
+        assert sum(len(row["maps"]) for row in json.loads(out)["rows"]) == 15
+        assert len(seen) == len(set(seen)) == 7
+
     def test_validator_sweep_respects_strength_ordering(self, tmp_path, capsys):
         sweep = tmp_path / "chain.sweep"
         sweep.write_text(
@@ -302,6 +320,17 @@ class TestOracleCompare:
         empty.write_text("timeline 0 3\n")
         code, out, _ = run_cli("oracle-compare", str(empty), capsys=capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("command", [["oracle-compare"], ["check", "--trials", "1"]])
+    def test_kb_past_the_oracle_bound_exits_one(self, command, tmp_path, capsys):
+        # 15 clash-free facts: within the exhaustive bound, past every oracle bound.
+        facts = "".join(f"fact P(A, {t}, {t}) : 0.5\n" for t in range(15))
+        kb = tmp_path / "big.tmln"
+        kb.write_text("sort S\ntimeline 0 20\nconst A : S\npred P(S)\n" + facts)
+        code, _, err = run_cli(command[0], str(kb), *command[1:], capsys=capsys)
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "exceed the oracle bound" in err
 
 
 KB_HEADER = ["sort S", "timeline 0 9", "const A : S", "const B : S", "pred P(S)", "pred Q(S, S)"]
@@ -403,3 +432,46 @@ def test_entry_point_runs_in_subprocess():
         text=True,
     )
     assert proc.returncode == 0
+
+
+class TestFixedCosts:
+    """The parser is built once per process; the audit-only modules load on demand."""
+
+    def test_import_leaves_the_audit_modules_unloaded(self):
+        src = str(Path(__file__).parent.parent / "src")
+        audit_only = ("tmln.oracle", "tmln.properties", "tmln.randgen", "hashlib")
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); import tmln.cli; "
+            f"print([m for m in {audit_only!r} if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
+
+    def test_one_parser_serves_every_call(self, monkeypatch, capsys):
+        calls = [
+            ["ground", ORESME, "--json"],
+            ["map", ORESME, "--json"],  # no --delta: a usage error
+            ["map", ORESME, "--delta", "tCon", "--pruned", "--json"],
+            ["ground", ORESME, "--json"],
+        ]
+
+        def outputs():
+            seen = []
+            for argv in calls:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                out, err = capsys.readouterr()
+                seen.append((code, out, err))
+            return seen
+
+        cli.build_parser.cache_clear()
+        cached = outputs()
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(calls) - 1)
+        assert [code for code, _, _ in cached] == [0, 2, 0, 0]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert outputs() == cached

@@ -5,13 +5,16 @@ import random
 import pytest
 from hypothesis import given
 
-from tmln.kernel import Literal, Rule, TimePoint
-from tmln.randgen import random_formula_set
+from tmln.kernel import Literal, Rule, TimePoint, closure_literals
+from tmln.network import canonical_order, ground
+from tmln.randgen import random_formula_set, random_tmln
 from tmln.temporal import (
+    GroundState,
     Relation,
     RelationKind,
     TemporalError,
     Timeline,
+    _clash,
     relation_holds,
     tau,
     ti,
@@ -145,3 +148,42 @@ class TestLattice:
         extended = list(phi) + [derived[0]]
         for token in ("pCon", "tCon", "pInc", "tInc"):
             assert rel(token, extended) == rel(token, phi)
+
+
+class TestGroundState:
+    def test_every_subset_matches_a_from_scratch_scan(self):
+        # Masks are visited in random order, so many are built from parents
+        # that are not memoized yet.
+        rng = random.Random(9)
+        checked = clashing = 0
+        while checked < 40:
+            M = random_tmln(rng, max_mi=9)
+            formulae = [wf.formula for wf in canonical_order(ground(M))]
+            if not any(isinstance(f, Rule) for f in formulae):
+                continue
+            checked += 1
+            state = GroundState(formulae)
+            # Every closure literal is a member's fact or conclusion.
+            bits = {}
+            for i, f in enumerate(formulae):
+                if isinstance(f, Rule):
+                    bits[f.conclusion] = state.concl_bit[i]
+                else:
+                    bits[f] = state.fact_bit[i]
+            masks = list(range(1 << len(formulae)))
+            rng.shuffle(masks)
+            for mask in masks:
+                closure = closure_literals(f for i, f in enumerate(formulae) if mask >> i & 1)
+                kinds = 0
+                for a in closure:
+                    for b in closure:
+                        if a.positive and not b.positive and (a.predicate, a.args) == (
+                            b.predicate, b.args
+                        ):
+                            kinds |= _clash(ti(a.lower, a.upper), ti(b.lower, b.upper))
+                lits = state.closure_bits(mask)
+                assert bin(lits).count("1") == len(closure)
+                assert {lit for lit, bit in bits.items() if lits & bit} == closure
+                assert state.clashes(mask) == kinds
+                clashing += kinds != 0
+        assert clashing > 100
