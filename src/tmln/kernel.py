@@ -276,12 +276,11 @@ def _match_literal(
 
 
 def _index(index: dict[tuple, list[Literal]], lit: Literal) -> None:
-    """File ``lit`` under (polarity, predicate) and, for every argument
-    position i, under (polarity, predicate, i, argument i)."""
+    """File ``lit`` under (polarity, predicate) and (polarity, predicate, first argument)."""
     key = (lit.positive, lit.predicate)
     index.setdefault(key, []).append(lit)
-    for i, arg in enumerate(lit.args):
-        index.setdefault(key + (i, arg), []).append(lit)
+    if lit.args:
+        index.setdefault(key + (lit.args[0],), []).append(lit)
 
 
 def _join(
@@ -291,8 +290,7 @@ def _join(
     literal, paired with the literals placed, in pattern order.
 
     Patterns are joined left to right, each against the literals sharing its
-    first bound argument (a constant, or a variable already bound), or its
-    whole predicate when no argument is bound.  The first ``before``
+    first argument once that argument is bound.  The first ``before``
     patterns may not be placed on ``delta``.
     """
     results = []
@@ -303,13 +301,10 @@ def _join(
             return
         pattern = patterns[i]
         key = (pattern.positive, pattern.predicate)
-        for pos, arg in enumerate(pattern.args):
-            if isinstance(arg, Variable):
-                arg = binding.get(arg)
-            if arg is not None:
-                key += (pos, arg)
-                break
-        for cand in index.get(key, ()):
+        first = pattern.args[0] if pattern.args else None
+        if isinstance(first, Variable):
+            first = binding.get(first)
+        for cand in index.get(key if first is None else key + (first,), ()):
             if cand is not delta or i >= before:
                 extended = _match_literal(pattern, cand, binding)
                 if extended is not None:
@@ -353,9 +348,9 @@ def derive_closure(formulae: Iterable[Union[Formula, tuple[Formula, Any]]]) -> C
     index.  Matching is semi-naive: the settling literal fills one premise of
     a rule and the other premises join settled literals, those before its
     position excluding it, so each instance is found once, when its weakest
-    premise settles.  A premise with a bound argument meets only the
-    literals with that argument at that position, so individuals that rules
-    join on any argument add linear match work.
+    premise settles.  A premise whose first argument is bound meets only the
+    literals with that argument, so individuals that rules join on their
+    first argument add linear match work.
     """
     given = [f if isinstance(f, tuple) else (f, 1) for f in formulae]
     # A support weight is always one of the input weights, so the engine works

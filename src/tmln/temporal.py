@@ -235,11 +235,13 @@ class GroundState:
     def _extend(self, mask: int) -> tuple[int, int]:
         """Memoize the closure and clash kinds of the subset.
 
-        Each is built from the subset less its highest member, the parent,
-        which the searches have always memoized already (unknown parents are
-        built first): the new member's fact is added, the subset's rules fire
-        to a fixpoint, and only the pairs touching a newly derived literal
-        can add clash kinds.
+        Each is built from the subset less its highest member, the parent:
+        the new member's fact is added, the subset's rules fire to a
+        fixpoint, and only the pairs touching a newly derived literal can add
+        clash kinds.  The nodes of the searches find their parent memoized;
+        other subsets (``WeightedState.kept`` under ``rule`` at a
+        branch-and-bound leaf, ``relation_holds`` on a fresh state) first
+        build the chain of their unmemoized parents, one step per member.
         """
         missing = []
         while mask not in self._closure:

@@ -312,38 +312,6 @@ class TestSupportWeights:
         assert attempts[10] <= 9 / 4 * attempts[5]
         assert attempts[40] <= 9 * attempts[5]
 
-    @pytest.mark.parametrize(
-        "body", ["S(y, x, t, u) & P(x, t2, u2)", "P(x, t2, u2) & S(y, x, t, u)"]
-    )
-    def test_a_join_on_a_later_argument_is_linear_match_work(self, body, monkeypatch):
-        # S settles before P, so the premise S(y, x, ...) is joined with only
-        # its second argument bound.
-        def ring_kb(n):
-            names = [f"C{i:02d}" for i in range(n)]
-            lines = ["sort Obj", "timeline 0 9", "pred P(Obj)", "pred Q(Obj)", "pred S(Obj, Obj)"]
-            lines += [f"const {name} : Obj" for name in names]
-            for i, name in enumerate(names):
-                lines.append(f"fact S({name}, {names[(i + 1) % n]}, 0, 5) : 0.9")
-                lines.append(f"fact P({name}, 1, 2) : 0.3")
-            lines.append(f"rule R : 1 {{ {body} => Q(y, 0, 9) }}")
-            outcome = parse("\n".join(lines) + "\n")
-            assert outcome.ok, [str(d) for d in outcome.diagnostics]
-            return outcome.tmln
-
-        attempts = {}
-        match = kernel._match_literal
-
-        def counting(*args):
-            attempts[n] += 1
-            return match(*args)
-
-        monkeypatch.setattr(kernel, "_match_literal", counting)
-        for n in (10, 40):
-            attempts[n] = 0
-            assert len(ground(ring_kb(n))) == 3 * n
-        # Quadratic work would be 16 times as much; linear is 4 times.
-        assert attempts[40] <= 4.5 * attempts[10]
-
 
 SEMI_NAIVE_HEADER = (
     "sort Obj\ntimeline 0 9\nconst A : Obj\nconst B : Obj\nconst C : Obj\n"
