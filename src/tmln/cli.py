@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .inference import (
     BoundError,
@@ -109,62 +109,37 @@ def map_record(
     query: Optional[Query],
     known: Optional[dict] = None,
 ) -> list[dict]:
-    """One record per optimal state.
+    """One record per optimal state; each member's record is built once.
 
-    ``known`` maps an instantiation to its conclusion records; a sweep
-    shares it across rows, so each distinct state's conclusions are
-    computed once.
+    ``effective`` and ``suppressed`` reuse the member records of
+    ``formulae``.  ``known`` maps a state's members to its conclusion
+    records; a sweep shares it across rows, so each distinct state's
+    conclusions are computed once.
     """
     known = {} if known is None else known
     out = []
     for entry in result.entries:
-        members = canonical_order(entry.instantiation)
+        records = {wf: formula_record(wf, tmln.timeline) for wf in entry.members}
         record = {
-            "formulae": [formula_record(wf, tmln.timeline) for wf in members],
-            "effective": [
-                formula_record(wf, tmln.timeline) for wf in entry.effective
-            ],
-            "suppressed": [
-                formula_record(wf, tmln.timeline) for wf in entry.suppressed
-            ],
+            "formulae": list(records.values()),
+            "effective": [records[wf] for wf in entry.effective],
+            "suppressed": [records[wf] for wf in entry.suppressed],
             "strength": weight_str(result.strength),
             "conclusions": [],
         }
         if query is not None:
-            found = known.get(entry.instantiation)
+            found = known.get(entry.members)
             if found is None:
-                found = known[entry.instantiation] = [
+                found = known[entry.members] = [
                     {
                         "literal": literal_text(lit, tmln.timeline),
                         "weight": weight_str(w),
                     }
-                    for lit, w in conclusions(entry.instantiation, query)
+                    for lit, w in conclusions(entry.members, query)
                 ]
             record["conclusions"] = found
         out.append(record)
     return out
-
-
-def print_map_result(
-    result: MapResult,
-    tmln: TMLN,
-    query: Optional[Query],
-    full: bool,
-    out: TextIO,
-) -> None:
-    out.write(f"strength: {weight_str(result.strength)}\n")
-    for i, entry in enumerate(result.entries, start=1):
-        out.write(f"map {i}:\n")
-        shown = entry.effective if not full else canonical_order(entry.instantiation)
-        suppressed = set(entry.suppressed)
-        for wf in shown:
-            marker = "  [0] " if full and wf in suppressed else "  "
-            out.write(f"{marker}{formula_text(wf, tmln.timeline)} : {weight_str(wf.weight)}\n")
-        if query is not None:
-            for lit, w in conclusions(entry.instantiation, query):
-                out.write(
-                    f"  conclusion: ({literal_text(lit, tmln.timeline)}, {weight_str(w)})\n"
-                )
 
 
 # --- component parsing -----------------------------------------------------------
@@ -267,27 +242,36 @@ def cmd_ground(args: argparse.Namespace) -> int:
     return 0
 
 
+def query_of(text: Optional[str], M: TMLN) -> Optional[Query]:
+    """The parsed ``--query`` pattern, or ``None`` when none was given."""
+    return parse_query(text, M.timeline.lower, M.timeline.upper) if text else None
+
+
 def cmd_map(args: argparse.Namespace) -> int:
     bound = exhaustive_bound(args.bound)
     M = load_kb(args.path)
     tps = semantics_from(args.delta, args.sigma, args.theta)
-    query = (
-        parse_query(args.query, M.timeline.lower, M.timeline.upper)
-        if args.query
-        else None
-    )
+    query = query_of(args.query, M)
     result = map_pruned(M, tps) if args.pruned else map_exhaustive(M, tps, bound=bound)
+    maps = map_record(result, M, query)
     if args.json:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "kb": Path(args.path).name,
             "config": config_record(tps),
-            "maps": map_record(result, M, query),
+            "maps": maps,
         }
         print(json.dumps(payload, indent=2))
         return 0
     print(f"config: delta={args.delta} sigma={args.sigma} theta={args.theta}")
-    print_map_result(result, M, query, args.full, sys.stdout)
+    print(f"strength: {weight_str(result.strength)}")
+    for i, m in enumerate(maps, start=1):
+        print(f"map {i}:")
+        for r in m["formulae"] if args.full else m["effective"]:
+            marker = "  [0] " if r in m["suppressed"] else "  "
+            print(f"{marker}{r['text']} : {r['weight']}")
+        for c in m["conclusions"]:
+            print(f"  conclusion: ({c['literal']}, {c['weight']})")
     return 0
 
 
@@ -312,7 +296,8 @@ def read_sweep(path: str) -> list[ParametricSemantics]:
     return configs
 
 
-def sweep_payload(M: TMLN, kb_name: str, configs, query: Optional[Query]) -> dict:
+def sweep_payload(M: TMLN, kb_name: str, configs, query_text: Optional[str]) -> dict:
+    query = query_of(query_text, M)
     results = map_batch(M, configs)
     known: dict = {}
     rows = []
@@ -327,7 +312,7 @@ def sweep_payload(M: TMLN, kb_name: str, configs, query: Optional[Query]) -> dic
     return {
         "schema_version": SCHEMA_VERSION,
         "kb": kb_name,
-        "query": None,
+        "query": query_text,
         "rows": rows,
     }
 
@@ -335,13 +320,7 @@ def sweep_payload(M: TMLN, kb_name: str, configs, query: Optional[Query]) -> dic
 def cmd_sweep(args: argparse.Namespace) -> int:
     M = load_kb(args.path)
     configs = read_sweep(args.sweep)
-    query = (
-        parse_query(args.query, M.timeline.lower, M.timeline.upper)
-        if args.query
-        else None
-    )
-    payload = sweep_payload(M, Path(args.path).name, configs, query)
-    payload["query"] = args.query
+    payload = sweep_payload(M, Path(args.path).name, configs, args.query)
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0

@@ -72,11 +72,15 @@ def exhaustive_bound(override: Union[int, str, None] = None) -> int:
 
 @dataclass(frozen=True)
 class MapEntry:
-    """One optimal state, split for display by selector contribution."""
+    """One optimal state: its members in canonical order, split by selector contribution."""
 
-    instantiation: Instantiation
+    members: tuple[WeightedFormula, ...]
     effective: tuple[WeightedFormula, ...]
     suppressed: tuple[WeightedFormula, ...]
+
+    @property
+    def instantiation(self) -> Instantiation:
+        return frozenset(self.members)
 
 
 @dataclass(frozen=True)
@@ -100,19 +104,20 @@ def _maximal_masks(masks: list[int]) -> list[int]:
 
 
 def _entry(state: WeightedState, tps: ParametricSemantics, mask: int) -> MapEntry:
-    members = [state.members[i] for i in state.member_indices(mask)]
+    members = tuple(state.members[i] for i in state.member_indices(mask))
     slots = state.slots(tps.selector, mask)
     effective = tuple(wf for wf, s in zip(members, slots) if s != ZERO)
     suppressed = tuple(wf for wf, s in zip(members, slots) if s == ZERO)
-    return MapEntry(frozenset(members), effective, suppressed)
+    return MapEntry(members, effective, suppressed)
 
 
 def _result(state: WeightedState, tps: ParametricSemantics, argmax: list[int]) -> MapResult:
+    """Entries in canonical member order; the strength is a largest mask's, since
+    tied states may differ within the float ``sum_alpha`` tolerance."""
     maximal = _maximal_masks(argmax)
-    entries = [_entry(state, tps, m) for m in maximal]
-    entries.sort(key=lambda e: tuple(formula_key(wf.formula) for wf in canonical_order(e.instantiation)))
+    entries = tuple(_entry(state, tps, m) for m in sorted(maximal, key=state.member_indices))
     strength = state.strength(tps, maximal[0]) if maximal else ZERO
-    return MapResult(tuple(entries), strength)
+    return MapResult(entries, strength)
 
 
 def _state_of(M: Union[TMLN, Instantiation]) -> WeightedState:
@@ -186,6 +191,7 @@ def _branch_and_bound(state: WeightedState, tps: ParametricSemantics) -> MapResu
 
     if combine(rank.start, suffix[0]) > empty:
         search(0, 0, rank.start)
+    del search  # break its self-reference so the state is freed without the cyclic GC
     if best == empty:
         return _result(state, tps, [state.full])
     return _result(state, tps, [m for k, m in found if k >= floor])

@@ -311,6 +311,7 @@ def _join(
                     step(i + 1, extended, placed + (cand,))
 
     step(0, binding, ())
+    del step  # break its self-reference so the index is freed without the cyclic GC
     return results
 
 

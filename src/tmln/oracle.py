@@ -1,11 +1,12 @@
 """Brute-force reference implementations used as ground truth in tests.
 
 Everything here is deliberately naive and separate from the engine's code
-paths: closures restart their scan from scratch with no indexing, rule
-bindings are enumerated by cartesian product over observed terms, support
-weights enumerate all subsets, inference scores every subset with relations
-evaluated on materialized point sets.  The only shared code is the domain
-types.  Size bounds keep the exponential blowups honest.
+paths: closures restart their scan from scratch with no indexing, a rule's
+bindings come from a unification walk over the current literals (a ground
+rule fires when its premises are all present), support weights enumerate
+all subsets, inference scores every subset with relations evaluated on
+materialized point sets.  The only shared code is the domain types.  Size
+bounds keep the exponential blowups honest.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ def _unify_term(pattern, value, env: dict) -> bool:
 
 def _firings(rule: Rule, literals: set[Literal]) -> list[dict]:
     """Bindings making every premise a member, by scanning all literals."""
+    if rule.is_ground:
+        return [{}] if all(p in literals for p in rule.premises) else []
     results: list[dict] = []
 
     def walk(i: int, env: dict) -> None:

@@ -123,6 +123,40 @@ class TestMap:
         )
         assert "[0] R1: Q(A, 0, 3) => R(A, TMIN, TMAX) : 0.2" in out
 
+    @pytest.mark.parametrize("full", [False, True], ids=["effective", "full"])
+    def test_text_agrees_with_json_records(self, full, tmp_path, capsys):
+        """Under every table3.sweep config, on the bundled KB and on one with a
+        suppressed member, the text lines are the --json records."""
+        kb = tmp_path / "suppressed.tmln"
+        kb.write_text(self.SUPPRESSED_KB)
+        runs = [
+            (path, query, config)
+            for path, query in ((ORESME, "PeasantFamily(*,*,*)"), (str(kb), "P(*,*,*)"))
+            for config in cli.read_sweep(SWEEP)
+        ]
+        for path, query, config in runs:
+            argv = [
+                "map", path, "--delta", str(config.validator), "--sigma",
+                str(config.selector), "--theta", str(config.aggregator), "--query", query,
+            ]
+            _, text, _ = run_cli(*argv, *(["--full"] if full else []), capsys=capsys)
+            _, out, _ = run_cli(*argv, "--json", capsys=capsys)
+            maps = json.loads(out)["maps"]
+            expected = [
+                f"config: delta={argv[3]} sigma={argv[5]} theta={argv[7]}",
+                f"strength: {maps[0]['strength']}",
+            ]
+            for i, m in enumerate(maps, start=1):
+                expected.append(f"map {i}:")
+                for r in m["formulae"] if full else m["effective"]:
+                    marker = "  [0] " if full and r in m["suppressed"] else "  "
+                    expected.append(f"{marker}{r['text']} : {r['weight']}")
+                expected += [
+                    f"  conclusion: ({c['literal']}, {c['weight']})" for c in m["conclusions"]
+                ]
+            assert text.splitlines() == expected, argv
+            assert m["conclusions"], argv
+
     def test_unknown_component_exits_one(self, capsys):
         code, _, err = run_cli(
             "map", ORESME, "--delta", "bogus", capsys=capsys,
@@ -361,6 +395,12 @@ kb_documents = st.one_of(
         ),
     )
     .map(lambda parts: "\n".join(parts[0] + parts[1]).encode()),
+    # 11 to 14 clash-free facts: within and past the oracle's bounds.
+    st.integers(11, 14).map(
+        lambda n: "\n".join(
+            KB_HEADER + [f"fact P({'AB'[t // 10]}, {t % 10}, 9) : 0.5" for t in range(n)]
+        ).encode()
+    ),
 )
 sweep_documents = st.lists(
     st.one_of(
@@ -385,10 +425,13 @@ def option_value(flag):
 @st.composite
 def command_lines(draw, kb_path, sweep_path):
     """A command and its options: map always gets a --delta, as it requires."""
-    command = draw(st.sampled_from(["validate", "ground", "map", "sweep"]))
+    command = draw(st.sampled_from(["validate", "ground", "map", "sweep", "oracle-compare"]))
     argv = [command, kb_path]
     if command == "ground" and draw(st.booleans()):
         argv.append("--json")
+    if command == "oracle-compare":
+        for flag in draw(st.lists(st.sampled_from(["--delta", "--sigma", "--theta"]), max_size=3)):
+            argv += [flag, draw(option_value(flag))]
     if command == "map":
         argv += ["--delta", draw(option_value("--delta"))]
         for flag in draw(st.lists(st.sampled_from(sorted(OPTIONS)), max_size=3)):
@@ -417,12 +460,17 @@ class TestRobustness:
         sweep_path = work / "configs.sweep"
         sweep_path.write_bytes(sweep)
         argv = data.draw(command_lines(kb_path, str(sweep_path)))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2), argv
+        if "oracle bound" in err.getvalue():
+            assert code == 1, argv
+            assert err.getvalue().splitlines()[-1].startswith("error: "), argv
+            assert err.getvalue().count("oracle bound") == 1, argv
 
 
 def test_entry_point_runs_in_subprocess():

@@ -5,6 +5,7 @@ enumeration with independently evaluated relations and scoring); the engine
 must agree exactly.
 """
 
+import gc
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from tmln.inference import (
 )
 from tmln.kbformat import parse
 from tmln.kernel import Constant, Literal, Signature, TimePoint
-from tmln.network import TMLN, WeightedFormula, ground, weight_str
+from tmln.network import TMLN, WeightedFormula, canonical_order, formula_key, ground, weight_str
 from tmln.oracle import brute_map
 from tmln.randgen import random_tmln
 from tmln.semantics import (
@@ -211,6 +212,19 @@ class TestMapPruned:
                 visited.add(counts["nodes"])
         assert min(visited) <= 10 and max(visited) >= 200
 
+    def test_searches_leave_no_reference_cycles(self, oresme):
+        """Grounding and the searches are freed by reference counting, so a
+        request leaves no work for the cyclic garbage collector."""
+        gc.collect()
+        gc.disable()
+        try:
+            map_batch(oresme, shipped_combinations())
+            map_pruned(oresme, tps("tCon"))
+            map_exhaustive(oresme, tps("pCon", "rule"))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_non_decimal_weights_match_the_oracle(self):
         """Weights and the threshold with denominators 3 and 7: every search
         equals brute force under all 36 shipped combinations."""
@@ -237,6 +251,7 @@ class TestMapPruned:
                 for result in (batch, map_pruned(M, config), map_exhaustive(M, config)):
                     assert set(result.instantiations) == set(states), config
                     assert scores_equal(result.strength, best), config
+                    assert_canonical(result)
 
     def test_psum_on_twelve_non_decimal_members(self):
         rng = random.Random(41)
@@ -270,6 +285,16 @@ class TestMapPruned:
                     for result in (batch, map_pruned(M, config), map_exhaustive(M, config)):
                         assert set(result.instantiations) == set(states), config
                         assert scores_equal(result.strength, best), config
+                        assert_canonical(result)
+
+
+def assert_canonical(result):
+    """Members come in canonical order, and entries in the order of their members."""
+    keys = []
+    for entry in result.entries:
+        assert entry.members == canonical_order(entry.instantiation)
+        keys.append([(formula_key(wf.formula), wf.weight) for wf in entry.members])
+    assert keys == sorted(keys)
 
 
 def chain_kb(size):
